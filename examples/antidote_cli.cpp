@@ -28,7 +28,7 @@
 // one TieredStore facade — everything downstream (CertServer,
 // NetServer, Replicator) holds only the abstract CertificateStore.
 // --replicate-from turns a serving process into a replica that pulls
-// the source's journal into its own --cache-dir.
+// the source's segment records into its own --cache-dir.
 //
 // Exit code 0 = robust proven (with --all/--serve: every query proven),
 // 1 = not proven, 2 = usage/load error.
@@ -109,7 +109,7 @@ void printUsage() {
       "             the length-prefixed binary protocol (see\n"
       "             examples/net_client.cpp); SIGINT/SIGTERM shut down\n"
       "             cleanly and print the net:/cache:/disk: stats; also\n"
-      "             answers replication journal polls, so replicas can\n"
+      "             answers replication polls, so replicas can\n"
       "             pull this process's store\n"
       "\n"
       "verification knobs:\n"
@@ -124,8 +124,8 @@ void printUsage() {
       "none; default 60)\n\n");
   ServingOptions::printHelp(stdout);
   std::printf(
-      "\nreplication: --replicate-from needs --cache-dir (the journaled "
-      "disk\nstore is the replication target) and --serve or --listen; "
+      "\nreplication: --replicate-from needs --cache-dir (the disk "
+      "store\nis the replication target) and --serve or --listen; "
       "replicated\ncertificates are byte-identical to the source's and "
       "pass the same\nchecksum/duplicate validation as local appends.\n");
 }
@@ -243,7 +243,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
     if (Serving.CacheDir.empty()) {
       std::fprintf(stderr,
                    "error: --replicate-from needs --cache-dir (the "
-                   "journaled disk store is the replication target)\n");
+                   "disk store is the replication target)\n");
       return false;
     }
     if (!Options.Serve && !Serving.Listen) {
@@ -277,12 +277,11 @@ void printStoreLines(const CertCache *Cache, const DiskCertStore *Disk) {
 /// replication smoke pins `applied=` exactly.
 void printReplStats(const ReplicatorStats &Stats) {
   std::printf("repl: polls=%llu applied=%llu duplicates=%llu "
-              "corrupt=%llu epoch_resets=%llu errors=%llu\n",
+              "corrupt=%llu errors=%llu\n",
               static_cast<unsigned long long>(Stats.Polls),
               static_cast<unsigned long long>(Stats.Applied),
               static_cast<unsigned long long>(Stats.Duplicates),
               static_cast<unsigned long long>(Stats.Corrupt),
-              static_cast<unsigned long long>(Stats.EpochResets),
               static_cast<unsigned long long>(Stats.Errors));
 }
 
@@ -394,7 +393,7 @@ int main(int Argc, char **Argv) {
                            : nullptr;
 
   // The replica side: a background puller appending the source's
-  // journal records through the normal validated path. Wired against
+  // segment records through the normal validated path. Wired against
   // the abstract store — replication() resolves to the disk tier.
   std::unique_ptr<Replicator> Repl;
   if (Serving.Replicate) {
@@ -468,7 +467,7 @@ int main(int Argc, char **Argv) {
     std::printf("net: accepted=%llu refused=%llu framing=%llu "
                 "requests=%llu verified=%llu probe_hits=%llu "
                 "shed_overload=%llu shed_paced=%llu bad_requests=%llu "
-                "cancelled=%llu journal_polls=%llu\n",
+                "cancelled=%llu repl_polls=%llu\n",
                 static_cast<unsigned long long>(Stats.Accepted),
                 static_cast<unsigned long long>(Stats.RefusedClients),
                 static_cast<unsigned long long>(Stats.FramingErrors),
@@ -479,7 +478,7 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Stats.ShedPaced),
                 static_cast<unsigned long long>(Stats.BadArity),
                 static_cast<unsigned long long>(Stats.Cancelled),
-                static_cast<unsigned long long>(Stats.JournalPolls));
+                static_cast<unsigned long long>(Stats.ReplicationPolls));
     if (Repl)
       printReplStats(Repl->stats());
     printStoreLines(Cache.get(), DiskStore.get());

@@ -55,7 +55,6 @@
 #include "serving/StoreKey.h"
 
 #include <list>
-#include <map>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -87,13 +86,6 @@ public:
              unsigned NumFeatures, uint32_t PoisoningBudget,
              const VerifierConfig &Config, const Certificate &Cert) override;
 
-  /// The radius-range probe alone (no exact-key consultation, no LRU
-  /// touch, no counter changes) — the rule `lookup` falls back to on an
-  /// exact miss, exposed for range-machinery introspection.
-  bool rangeLookup(const DatasetFingerprint &Data, const float *X,
-                   unsigned NumFeatures, uint32_t PoisoningBudget,
-                   const VerifierConfig &Config, Certificate &Out) override;
-
   StoreStats stats() const override;
 
   /// Drops every entry (counters are kept; `LiveBytes`/`LiveRecords`
@@ -117,24 +109,8 @@ private:
     std::list<const StoreKey *>::iterator LruIt;
   };
 
-  /// Radius-ordered views of the entries sharing one budget-agnostic
-  /// base key (serving/StoreKey.h `rangeBaseKey`): proof radius ->
-  /// the entry's map key. Only *original* proofs — entries whose
-  /// `CertifiedRadius` equals their key's budget — are registered, so
-  /// a radius names at most one entry (a range-served promotion keyed
-  /// under the queried budget would alias the original's radius and
-  /// adds no serving power the original lacks).
-  struct RangeSlot {
-    std::map<uint32_t, const StoreKey *> Robust;  ///< Serve n <= radius.
-    std::map<uint32_t, const StoreKey *> Unknown; ///< Serve n >= radius.
-  };
-
   /// Pops the LRU tail. Caller holds the mutex.
   void evictOneLocked();
-
-  /// Range-index maintenance for one entry; callers hold the mutex.
-  void registerRangeLocked(const StoreKey &K, const Certificate &Cert);
-  void unregisterRangeLocked(const StoreKey &K, const Certificate &Cert);
 
   const uint64_t MaxBytes;
 
@@ -143,16 +119,10 @@ private:
   /// (unordered_map never moves its elements, only its buckets).
   std::list<const StoreKey *> Lru;
   std::unordered_map<StoreKey, Slot, StoreKeyHash> Entries;
-  /// Base key (budget zeroed) -> radius-sorted entry views; kept in
-  /// lockstep with `Entries` by store/evict/clear.
-  std::unordered_map<StoreKey, RangeSlot, StoreKeyHash> RangeIndex;
+  /// Radius views of `Entries`' original proofs; kept in lockstep with
+  /// `Entries` by store/evict/clear.
+  RadiusIndex Ranges;
   StoreStats Stats;
-
-  /// The range-rule resolution `lookup` and `rangeLookup` share: the
-  /// serving entry for \p K's base key at budget \p PoisoningBudget, or
-  /// null. Caller holds the mutex.
-  const StoreKey *findRangeLocked(const StoreKey &K,
-                                  uint32_t PoisoningBudget) const;
 };
 
 } // namespace antidote

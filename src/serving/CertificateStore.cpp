@@ -15,9 +15,8 @@ std::string StoreStats::summary() const {
   // Stable `key=value` text — the CI smokes grep exact prefixes of this
   // line, so field order and spellings are load-bearing. The optional
   // clauses key off what the tier maintains, not off zero-vs-nonzero
-  // counts: a disk store always carries an epoch (>= 1 once opened), a
-  // plain cache never does, so the shape of each tier's line is
-  // deterministic.
+  // counts: only the disk tier sets `Disk`, so the shape of each tier's
+  // line is deterministic.
   char Buf[512];
   int Len = std::snprintf(
       Buf, sizeof(Buf),
@@ -39,14 +38,12 @@ std::string StoreStats::summary() const {
                         static_cast<unsigned long long>(DiskHits));
     Out.append(Buf, Len < 0 ? 0 : static_cast<size_t>(Len));
   }
-  if (Epoch) {
+  if (Disk) {
     Len = std::snprintf(
         Buf, sizeof(Buf),
-        " segments=%llu epoch=%llu journal=%llu corrupt=%llu stale=%llu "
-        "compactions=%llu retention_evicted=%llu refreshes=%llu",
+        " segments=%llu corrupt=%llu stale=%llu compactions=%llu "
+        "retention_evicted=%llu refreshes=%llu",
         static_cast<unsigned long long>(Segments),
-        static_cast<unsigned long long>(Epoch),
-        static_cast<unsigned long long>(JournalRecords),
         static_cast<unsigned long long>(CorruptSkipped),
         static_cast<unsigned long long>(StaleSegments),
         static_cast<unsigned long long>(Compactions),

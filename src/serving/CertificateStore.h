@@ -19,13 +19,11 @@
 ///  - `probe`: answer only from already-stored certificates, never
 ///    verify — the admission-control shed path's question ("can I serve
 ///    this for free?").
-///  - `rangeLookup`: the radius-range rule alone, exact matches
-///    excluded — for introspection and tests of the range machinery.
 ///  - `stats()`: one shared `StoreStats` counter struct; every
 ///    front-end stats line is rendered by `StoreStats::summary()`, so a
 ///    new counter surfaces in every CLI and CI grep at once.
-///  - `replication()`: the journal-replication seam. Stores that keep a
-///    replication journal (the disk tier) expose a
+///  - `replication()`: the replication seam. The disk tier, whose
+///    segments are an ordered append-only log, exposes a
 ///    `ReplicationEndpoint`; everything else returns null and a
 ///    `Replicator` refuses to start against it.
 ///
@@ -66,36 +64,36 @@ struct StoreStats {
   uint64_t LiveBytes = 0; ///< Indexed record bytes (headers included).
 
   // Disk-tier extras.
+  bool Disk = false; ///< The disk tier filled these stats (and the
+                     ///< extras below).
   uint64_t Segments = 0;       ///< Readable current-version segments.
   uint64_t CorruptSkipped = 0; ///< Torn/corrupt records dropped.
   uint64_t StaleSegments = 0;  ///< Segments skipped: wrong magic/version.
-  uint64_t DuplicateRecords = 0; ///< Redundant records seen on open.
+  uint64_t DuplicateRecords = 0; ///< Redundant records seen by scans.
   uint64_t Compactions = 0;
   uint64_t CompactionRecordsDropped = 0;
-
-  // Journal / replication extras (disk tier).
-  uint64_t Epoch = 0;          ///< Current journal epoch (1-based).
-  uint64_t JournalRecords = 0; ///< Journal entries in the current epoch.
   uint64_t RetentionEvictedSegments = 0; ///< Whole segments evicted by
                                          ///< the retention budget.
-  uint64_t IndexRefreshes = 0; ///< Sibling-append index refreshes.
+  uint64_t IndexRefreshes = 0; ///< Refreshes that indexed sibling
+                               ///< writes (no reopen needed).
 
   /// One-line `key=value` rendering, stable for greps:
   /// "hits=2 range_hits=0 misses=1 stored=3 duplicates=0 declined=0
   /// evicted=0 records=3 bytes=712". Tiered splits (`ram_hits=`/
   /// `disk_hits=`) and the disk extras (`segments=` … `refreshes=`) are
-  /// appended only when the tier maintains them, so a RAM cache's line
-  /// stays short. Every front-end stats line is this text behind a
-  /// "cache: "/"disk: "/"store: " prefix — the CI smokes grep it.
+  /// appended only when the tier maintains them (`Disk`), so a RAM
+  /// cache's line stays short. Every front-end stats line is this text
+  /// behind a "cache: "/"disk: "/"store: " prefix — the CI smokes grep
+  /// it.
   std::string summary() const;
 };
 
-/// The pull-replication seam a journaled store exposes (see
-/// serving/StoreJournal.h for the journal itself and
-/// docs/ARCHITECTURE.md for the protocol walk-through).
+/// The pull-replication seam the disk tier exposes (see
+/// serving/DiskCertStore.h for the source side and docs/ARCHITECTURE.md
+/// for the protocol walk-through).
 ///
-/// Source side: `serveJournalPoll` answers "what changed since
-/// (epoch, serial)?" with raw record bytes in journal order. Replica
+/// Source side: `serveReplicationPoll` answers "what follows cursor
+/// (segment, offset)?" with raw record bytes in segment order. Replica
 /// side: `applyReplicatedRecord` feeds a received record through the
 /// store's normal validation path — checksum, verdict whitelist,
 /// duplicate decline — so a corrupt or replayed delta degrades to a
@@ -106,37 +104,37 @@ public:
 
   /// A replica's cursor plus its interest filter.
   struct PollRequest {
-    uint64_t Epoch = 0;  ///< Last epoch the replica saw; 0 = none yet.
-    uint64_t Serial = 0; ///< Journal entries already applied within it.
+    /// Where the replica stopped: a segment id and a record boundary
+    /// inside it. The default (0, 0) starts at the oldest live segment.
+    uint32_t Segment = 0;
+    uint64_t Offset = 0;
     /// Dataset-fingerprint scope: only records whose key fingerprint
-    /// matches are shipped (skipped records still advance the serial
-    /// cursor). 0/0 = everything.
+    /// matches are shipped (skipped records still advance the cursor).
+    /// 0/0 = everything.
     uint64_t ScopeHi = 0;
     uint64_t ScopeLo = 0;
     uint32_t MaxRecords = 256; ///< Batch bound; the source may clamp.
   };
 
   enum class PollStatus : uint8_t {
-    Delta = 0, ///< `Records` continues the replica's epoch at `Serial`.
-    EpochReset = 1, ///< The replica's epoch is gone (compaction /
-                    ///< retention); re-poll from serial 0 of `Epoch`.
-    Unavailable = 2, ///< No journaled store behind this endpoint.
+    Delta = 0,       ///< `Records` follow the replica's cursor.
+    Unavailable = 1, ///< No replicable store behind this endpoint.
   };
 
   /// One poll's answer. On `Delta`, `Records` holds whole serialized
   /// records (header + payload, exactly the on-disk bytes) and
-  /// `NextSerial` is the cursor for the following poll; `HeadSerial` is
-  /// the source's current journal length, so `NextSerial == HeadSerial`
-  /// means caught up.
+  /// (`Segment`, `Offset`) is the cursor for the following poll;
+  /// `AtHead` means the cursor reached the end of the newest segment,
+  /// i.e. the replica is caught up.
   struct Delta {
     PollStatus Status = PollStatus::Unavailable;
-    uint64_t Epoch = 0;
-    uint64_t NextSerial = 0;
-    uint64_t HeadSerial = 0;
+    uint32_t Segment = 0;
+    uint64_t Offset = 0;
+    bool AtHead = false;
     std::vector<std::vector<uint8_t>> Records;
   };
 
-  virtual Delta serveJournalPoll(const PollRequest &Poll) = 0;
+  virtual Delta serveReplicationPoll(const PollRequest &Poll) = 0;
 
   /// What happened to one received record.
   enum class ApplyResult : uint8_t {
@@ -147,7 +145,7 @@ public:
   };
 
   /// Applies \p Size bytes of one serialized record (as shipped by
-  /// `serveJournalPoll`: record header + payload) to the local store.
+  /// `serveReplicationPoll`: record header + payload) to the local store.
   virtual ApplyResult applyReplicatedRecord(const uint8_t *Data,
                                             size_t Size) = 0;
 };
@@ -211,23 +209,12 @@ public:
     return lookup(Data, X, NumFeatures, PoisoningBudget, Config, Out);
   }
 
-  /// The radius-range rule alone: serve (or not) strictly from a proof
-  /// at a *different* radius, never from an exact-key entry. Stores
-  /// without a range index answer false.
-  virtual bool rangeLookup(const DatasetFingerprint &Data, const float *X,
-                           unsigned NumFeatures, uint32_t PoisoningBudget,
-                           const VerifierConfig &Config, Certificate &Out) {
-    (void)Data, (void)X, (void)NumFeatures, (void)PoisoningBudget,
-        (void)Config, (void)Out;
-    return false;
-  }
-
   /// A consistent counter snapshot; the default (all-zero) suits test
   /// doubles that count nothing.
   virtual StoreStats stats() const { return {}; }
 
-  /// The replication seam: non-null only for stores that keep a
-  /// journal (the disk tier; a tiered composition forwards to it).
+  /// The replication seam: non-null only for the disk tier (a tiered
+  /// composition forwards to it).
   virtual ReplicationEndpoint *replication() { return nullptr; }
 };
 

@@ -14,7 +14,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <set>
+#include <tuple>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -221,53 +221,65 @@ std::vector<uint8_t> serializeRecord(const StoreKey &K,
   return Record.Bytes;
 }
 
-/// Outcome of walking one header-validated segment's records.
+/// Validates one whole serialized record of exactly \p Size bytes —
+/// magic, length, checksum, parseable payload, persistable verdict —
+/// and parses it. The one check every path that trusts record bytes
+/// applies: the segment walk, poll serving, and the replica's apply.
+bool parseRecord(const uint8_t *Data, size_t Size, StoreKey &K,
+                 Certificate &Cert) {
+  if (Size < RecordHeaderBytes)
+    return false;
+  ByteReader R{Data, RecordHeaderBytes};
+  uint32_t Magic = R.u32();
+  uint32_t PayloadBytes = R.u32();
+  uint64_t Checksum = R.u64();
+  return Magic == RecordMagic && PayloadBytes <= MaxPayloadBytes &&
+         PayloadBytes == Size - RecordHeaderBytes &&
+         fnv1a64(Data + RecordHeaderBytes, PayloadBytes) == Checksum &&
+         readPayload(Data + RecordHeaderBytes, PayloadBytes, K, Cert);
+}
+
+/// The payload checksum a record header carries.
+uint64_t recordChecksum(const uint8_t *Record) {
+  ByteReader R{Record + 8, 8};
+  return R.u64();
+}
+
+/// Outcome of walking a run of records.
 struct SegmentWalk {
-  size_t ValidEnd = SegmentHeaderBytes; ///< End of the last whole record.
-  uint64_t Corrupt = 0;                 ///< Torn/corrupt records seen.
+  uint64_t ValidEnd = 0; ///< File offset just past the last framed record.
+  uint64_t Corrupt = 0;  ///< Framed records that failed validation.
 };
 
-/// The one record scan both the open-time index rebuild and compaction
-/// share: invokes `Cb(Key, Cert, RecordOffset, PayloadBytes, Checksum)`
-/// for every intact record of \p Bytes (whose segment header the caller
-/// already validated). A bad or torn record header loses the boundary
-/// and stops the walk; a checksum or payload failure skips just that
-/// record.
+/// The one record walk behind every index scan (open, the lookup-miss
+/// refresh, the append path). \p Bytes holds \p Size bytes of a segment starting at the record
+/// boundary \p Base (a file offset). Invokes
+/// `Cb(Offset, RecordBytes, Key, Cert)` for every framed record, with
+/// \p Key null when the record fails validation (a checksum failure
+/// skips just that record — the next boundary is still known). A bad
+/// or torn record header loses the boundary and stops the walk.
 template <typename OnRecord>
-SegmentWalk walkSegmentRecords(const std::vector<uint8_t> &Bytes,
-                               OnRecord &&Cb) {
+SegmentWalk walkSegmentRecords(const uint8_t *Bytes, size_t Size,
+                               uint64_t Base, OnRecord &&Cb) {
   SegmentWalk Walk;
-  size_t Offset = SegmentHeaderBytes;
-  while (Offset + RecordHeaderBytes <= Bytes.size()) {
-    ByteReader R{Bytes.data() + Offset, RecordHeaderBytes};
+  size_t Pos = 0;
+  while (Size - Pos >= RecordHeaderBytes) {
+    ByteReader R{Bytes + Pos, RecordHeaderBytes};
     uint32_t Magic = R.u32();
     uint32_t PayloadBytes = R.u32();
-    uint64_t Checksum = R.u64();
     if (Magic != RecordMagic || PayloadBytes > MaxPayloadBytes ||
-        PayloadBytes > Bytes.size() - Offset - RecordHeaderBytes) {
-      // Bad or torn header: the record boundary is lost, stop here.
-      ++Walk.Corrupt;
-      return Walk;
-    }
-    const uint8_t *Payload = Bytes.data() + Offset + RecordHeaderBytes;
+        PayloadBytes > Size - Pos - RecordHeaderBytes)
+      break;
     size_t RecordBytes = RecordHeaderBytes + PayloadBytes;
     StoreKey Key;
     Certificate Cert;
-    if (fnv1a64(Payload, PayloadBytes) != Checksum ||
-        !readPayload(Payload, PayloadBytes, Key, Cert)) {
-      // Checksum/payload mismatch behind a plausible header: skip just
-      // this record — the next boundary is still known.
+    bool Intact = parseRecord(Bytes + Pos, RecordBytes, Key, Cert);
+    if (!Intact)
       ++Walk.Corrupt;
-    } else {
-      Cb(std::move(Key), Cert, Offset, PayloadBytes, Checksum);
-    }
-    Offset += RecordBytes;
-    Walk.ValidEnd = Offset;
+    Cb(Base + Pos, RecordBytes, Intact ? &Key : nullptr, Cert);
+    Pos += RecordBytes;
   }
-  if (Offset != Bytes.size()) {
-    // Trailing bytes too short for a record header: a torn tail.
-    ++Walk.Corrupt;
-  }
+  Walk.ValidEnd = Base + Pos;
   return Walk;
 }
 
@@ -307,6 +319,25 @@ bool parseSegmentName(const char *Name, uint32_t &Id) {
   return true;
 }
 
+/// The ids of every "seg-NNNNNN.antcert" in \p Dir, ascending. Foreign
+/// files are left alone.
+bool listSegmentIds(const std::string &Dir, std::vector<uint32_t> &Ids,
+                    std::string &Error) {
+  DIR *D = ::opendir(Dir.c_str());
+  if (!D) {
+    Error = "cannot list '" + Dir + "': " + errnoString();
+    return false;
+  }
+  while (struct dirent *Entry = ::readdir(D)) {
+    uint32_t Id = 0;
+    if (parseSegmentName(Entry->d_name, Id))
+      Ids.push_back(Id);
+  }
+  ::closedir(D);
+  std::sort(Ids.begin(), Ids.end());
+  return true;
+}
+
 /// mkdir -p: creates every missing component of \p Dir.
 bool makeDirs(const std::string &Dir, std::string &Error) {
   std::string Path;
@@ -330,36 +361,6 @@ bool makeDirs(const std::string &Dir, std::string &Error) {
     Error = "'" + Dir + "' is not a directory";
     return false;
   }
-  return true;
-}
-
-bool readWholeFile(const std::string &Path, std::vector<uint8_t> &Out,
-                   std::string &Error) {
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0) {
-    Error = "cannot read '" + Path + "': " + errnoString();
-    return false;
-  }
-  struct stat St;
-  if (::fstat(Fd, &St) != 0) {
-    Error = "cannot stat '" + Path + "': " + errnoString();
-    ::close(Fd);
-    return false;
-  }
-  Out.resize(static_cast<size_t>(St.st_size));
-  size_t Done = 0;
-  while (Done < Out.size()) {
-    ssize_t N = ::read(Fd, Out.data() + Done, Out.size() - Done);
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0) {
-      Error = "short read on '" + Path + "': " + errnoString();
-      ::close(Fd);
-      return false;
-    }
-    Done += static_cast<size_t>(N);
-  }
-  ::close(Fd);
   return true;
 }
 
@@ -427,6 +428,7 @@ private:
 
 } // namespace
 
+
 DiskCertStore::OpenResult DiskCertStore::open(const std::string &Dir,
                                               const DiskCertStoreOptions &Options) {
   OpenResult Result;
@@ -457,22 +459,10 @@ DiskCertStore::OpenResult DiskCertStore::open(const std::string &Dir,
     }
   }
   // (ReadOnly: LockFd stays -1, so every FileLock below fails closed —
-  // no tail repair, no journal writes, and store() declines.)
+  // no tail repair, and store() declines.)
   uint64_t TotalSegmentBytes = 0;
   if (!Store->loadLocked(Result.Error, TotalSegmentBytes))
     return Result;
-
-  std::string JournalError;
-  if (!Store->Journal.open(Dir, /*Writable=*/!Options.ReadOnly,
-                           JournalError)) {
-    Result.Error = JournalError;
-    return Result;
-  }
-  if (!Options.ReadOnly) {
-    FileLock Lock(Store->LockFd);
-    if (Lock.locked())
-      Store->reconcileJournalLocked();
-  }
 
   // Auto-compaction: when the directory is mostly dead weight —
   // stale-version segments after a format bump, corruption, piles of
@@ -514,17 +504,6 @@ void DiskCertStore::closeFdsLocked() {
   }
 }
 
-void DiskCertStore::clearIndexLocked() {
-  closeFdsLocked();
-  Index.clear();
-  RangeIndex.clear();
-  KnownSegments.clear();
-  SegmentBytes.clear();
-  Stats.Segments = 0;
-  Stats.LiveRecords = 0;
-  Stats.LiveBytes = 0;
-}
-
 std::string DiskCertStore::segmentPath(uint32_t Segment) const {
   char Name[32];
   std::snprintf(Name, sizeof(Name), "seg-%06u.antcert", Segment);
@@ -533,176 +512,188 @@ std::string DiskCertStore::segmentPath(uint32_t Segment) const {
 
 bool DiskCertStore::loadLocked(std::string &Error,
                                uint64_t &TotalSegmentBytes) {
-  // The exclusive lock serializes index rebuilds against appends from
-  // other processes (and lets the tail repair below truncate safely).
-  // An unlockable LOCK file (ENOLCK on NFS, or a ReadOnly handle)
-  // degrades to a read-only scan: no repair, and appends — which
-  // demand the lock — will decline.
+  // The exclusive lock serializes the scan against appends from other
+  // processes (and lets the tail repair below truncate safely). An
+  // unlockable LOCK file (ENOLCK on NFS, or a ReadOnly handle) degrades
+  // to a read-only scan: no repair, and appends — which demand the lock
+  // — will decline.
   FileLock Lock(LockFd);
-
-  // Collect segment ids. Foreign files are left alone.
-  std::vector<uint32_t> SegmentIds;
-  DIR *D = ::opendir(Dir.c_str());
-  if (!D) {
-    Error = "cannot list '" + Dir + "': " + errnoString();
+  std::vector<uint32_t> Ids;
+  if (!listSegmentIds(Dir, Ids, Error))
     return false;
-  }
-  while (struct dirent *Entry = ::readdir(D)) {
-    uint32_t Id = 0;
-    if (parseSegmentName(Entry->d_name, Id))
-      SegmentIds.push_back(Id);
-  }
-  ::closedir(D);
-  std::sort(SegmentIds.begin(), SegmentIds.end());
-
-  // Whether the highest-numbered segment ends in a clean record
-  // boundary we may append after.
-  bool LastAppendable = false;
-  for (uint32_t Id : SegmentIds) {
-    std::vector<uint8_t> Bytes;
-    std::string ReadError;
-    if (!readWholeFile(segmentPath(Id), Bytes, ReadError)) {
-      // Unreadable segment: skip it — the store serves what it can.
+  uint64_t FileBytes = 0;
+  for (uint32_t Id : Ids) {
+    ScanResult Scan = scanSegmentLocked(Id, FileBytes);
+    TotalSegmentBytes += FileBytes;
+    if (Scan == ScanResult::Pending || Scan == ScanResult::Gone)
+      // Unreadable, or torn before its header finished: unusable,
+      // reclaimed by compaction.
       ++Stats.StaleSegments;
-      continue;
-    }
-    TotalSegmentBytes += Bytes.size();
-    if (Bytes.size() < SegmentHeaderBytes) {
-      // Torn before the header finished: unusable, reclaimed by compact.
-      ++Stats.StaleSegments;
-      continue;
-    }
-    ByteReader Header{Bytes.data(), Bytes.size()};
-    if (Header.u32() != SegmentMagic || Header.u32() != FormatVersion) {
-      // Foreign or older-format segment: skipped wholesale — a format
-      // bump invalidates cleanly instead of half-parsing.
-      ++Stats.StaleSegments;
-      continue;
-    }
-
-    ++Stats.Segments;
-    KnownSegments.push_back(Id);
-    SegmentBytes[Id] = Bytes.size();
-    SegmentWalk Walk = walkSegmentRecords(
-        Bytes, [&](StoreKey &&Key, const Certificate &Cert, size_t Offset,
-                   uint32_t PayloadBytes, uint64_t Checksum) {
-          RecordRef Ref;
-          Ref.Segment = Id;
-          Ref.PayloadOffset = Offset + RecordHeaderBytes;
-          Ref.PayloadBytes = PayloadBytes;
-          Ref.Checksum = Checksum;
-          Ref.Kind = Cert.Kind;
-          Ref.CertifiedRadius = Cert.CertifiedRadius;
-          auto [It, Inserted] = Index.try_emplace(std::move(Key), Ref);
-          if (Inserted) {
-            registerRangeLocked(It->first, Ref);
-            ++Stats.LiveRecords;
-            Stats.LiveBytes += RecordHeaderBytes + PayloadBytes;
-          } else {
-            // Equal keys hold interchangeable certificates; keep the
-            // first, let compaction reclaim the rest.
-            ++Stats.DuplicateRecords;
-          }
-        });
-    Stats.CorruptSkipped += Walk.Corrupt;
-
-    // Tail repair on the segment appends will continue into: truncating
-    // the torn suffix keeps new records reachable (a scan stops at the
-    // first bad boundary, so appending after garbage would strand them).
-    if (Id == SegmentIds.back()) {
-      LastAppendable = Lock.locked();
-      if (Walk.ValidEnd < Bytes.size()) {
-        if (!Lock.locked() ||
-            ::truncate(segmentPath(Id).c_str(),
-                       static_cast<off_t>(Walk.ValidEnd)) != 0)
-          LastAppendable = false; // Unrepairable tail: never append past it.
-        else
-          SegmentBytes[Id] = Walk.ValidEnd;
-      }
-    }
+    else if (Scan == ScanResult::Live && Segments[Id].End < FileBytes)
+      // A torn tail or a bad record header ended the walk early.
+      ++Stats.CorruptSkipped;
   }
+  NewestId = Ids.empty() ? 0 : Ids.back();
 
-  if (SegmentIds.empty())
-    AppendSegment = 1;
-  else
-    // Appending behind a stale/foreign/torn last segment would strand
-    // the new records, so route them to a fresh one instead.
-    AppendSegment = LastAppendable ? SegmentIds.back()
-                                   : SegmentIds.back() + 1;
+  // Appends continue the newest segment when it ends on a record
+  // boundary — a torn tail is truncated back to one, since a scan stops
+  // at the first bad boundary and appending after garbage would strand
+  // the new records. A stale, foreign, or unrepairable newest segment
+  // routes them to a fresh one instead.
+  AppendSegment = NewestId + 1;
+  auto Newest = Segments.find(NewestId);
+  if (Newest != Segments.end() && Lock.locked() &&
+      (Newest->second.End == FileBytes ||
+       ::truncate(segmentPath(NewestId).c_str(),
+                  static_cast<off_t>(Newest->second.End)) == 0))
+    AppendSegment = NewestId;
   return true;
 }
 
-std::vector<StoreJournal::Entry>
-DiskCertStore::journalEntriesFromIndexLocked() const {
-  std::vector<StoreJournal::Entry> Entries;
-  Entries.reserve(Index.size());
-  for (const auto &[Key, Ref] : Index) {
-    (void)Key;
-    StoreJournal::Entry E;
-    E.Segment = Ref.Segment;
-    E.RecordBytes = Ref.PayloadBytes + RecordHeaderBytes;
-    E.Offset = Ref.PayloadOffset - RecordHeaderBytes;
-    E.Checksum = Ref.Checksum;
-    Entries.push_back(E);
+DiskCertStore::ScanResult
+DiskCertStore::scanSegmentLocked(uint32_t Id, uint64_t &FileBytes) {
+  FileBytes = 0;
+  int Fd = readFdLocked(Id);
+  if (Fd < 0)
+    return errno == ENOENT ? ScanResult::Gone : ScanResult::Pending;
+  struct stat St;
+  if (::fstat(Fd, &St) != 0)
+    return ScanResult::Pending;
+  if (St.st_nlink == 0)
+    return ScanResult::Gone;
+  FileBytes = static_cast<uint64_t>(St.st_size);
+
+  auto It = Segments.find(Id);
+  if (It == Segments.end()) {
+    std::vector<uint8_t> Header(SegmentHeaderBytes);
+    if (FileBytes < SegmentHeaderBytes ||
+        readBytesLocked(Id, 0, Header) != ReadStatus::Ok)
+      return ScanResult::Pending;
+    NewestId = std::max(NewestId, Id);
+    ByteReader R{Header.data(), SegmentHeaderBytes};
+    if (R.u32() != SegmentMagic || R.u32() != FormatVersion) {
+      // Foreign or other-format segment: skipped wholesale — a format
+      // bump invalidates cleanly instead of half-parsing.
+      ::close(Fd);
+      ReadFds.erase(Id);
+      ++Stats.StaleSegments;
+      return ScanResult::Stale;
+    }
+    It = Segments.emplace(Id, SegmentState{SegmentHeaderBytes, {}}).first;
   }
-  std::sort(Entries.begin(), Entries.end(),
-            [](const StoreJournal::Entry &A, const StoreJournal::Entry &B) {
-              return A.Segment != B.Segment ? A.Segment < B.Segment
-                                            : A.Offset < B.Offset;
-            });
-  return Entries;
+  SegmentState &S = It->second;
+  if (FileBytes <= S.End)
+    return ScanResult::Live;
+  const uint64_t Base = S.End;
+  std::vector<uint8_t> Bytes(FileBytes - Base);
+  if (readBytesLocked(Id, Base, Bytes) != ReadStatus::Ok)
+    return ScanResult::Live; // Shrank under us; the next scan retries.
+  SegmentWalk Walk = walkSegmentRecords(
+      Bytes.data(), Bytes.size(), Base,
+      [&](uint64_t Offset, size_t RecordBytes, StoreKey *Key,
+          const Certificate &Cert) {
+        S.Starts.push_back(Offset);
+        if (Key)
+          indexRecordLocked(std::move(*Key), Cert, Id, Offset, RecordBytes,
+                            recordChecksum(Bytes.data() + (Offset - Base)));
+      });
+  S.End = Walk.ValidEnd;
+  Stats.CorruptSkipped += Walk.Corrupt;
+  return ScanResult::Live;
 }
 
-uint64_t DiskCertStore::nextEpochLocked() const {
-  // Epochs must be monotone across *all* writers: a sibling may have
-  // bumped past our cached value, and publishing a lower epoch would
-  // let a replica's (epoch, serial) cursor alias two different
-  // journals.
-  uint64_t E = Journal.epoch();
-  StoreJournal::Header H = Journal.peekHeader();
-  if (H.Ok && H.Epoch > E)
-    E = H.Epoch;
-  return E + 1;
-}
-
-void DiskCertStore::reconcileJournalLocked() {
-  if (Options.ReadOnly)
-    return;
-  if (!Journal.valid()) {
-    // Journal unusable even after open()'s fresh-create attempt:
-    // republish from the index, best effort.
-    Journal.reset(nextEpochLocked(), journalEntriesFromIndexLocked());
-    return;
-  }
-  // Append a journal line for every indexed record a crash separated
-  // from its line (records are written before their journal entries, so
-  // the gap is always in this direction; an entry without a record just
-  // fails serve-time validation and is skipped).
-  std::set<std::pair<uint32_t, uint64_t>> Journaled;
-  for (uint64_t S = 1; S <= Journal.entryCount(); ++S) {
-    const StoreJournal::Entry &E = Journal.entry(S);
-    Journaled.emplace(E.Segment, E.Offset);
-  }
-  std::vector<StoreJournal::Entry> Missing;
-  for (const auto &[Key, Ref] : Index) {
-    (void)Key;
-    if (!Journaled.count(
-            {Ref.Segment, Ref.PayloadOffset - RecordHeaderBytes})) {
-      StoreJournal::Entry E;
-      E.Segment = Ref.Segment;
-      E.RecordBytes = Ref.PayloadBytes + RecordHeaderBytes;
-      E.Offset = Ref.PayloadOffset - RecordHeaderBytes;
-      E.Checksum = Ref.Checksum;
-      Missing.push_back(E);
+bool DiskCertStore::refreshLocked() {
+  bool Changed = false;
+  uint64_t FileBytes = 0;
+  if (!Segments.empty()) {
+    // Growth of the newest known segment: one fstat (and a read of just
+    // the new bytes).
+    auto Newest = std::prev(Segments.end());
+    uint64_t EndBefore = Newest->second.End;
+    if (scanSegmentLocked(Newest->first, FileBytes) == ScanResult::Gone) {
+      // Unlinked under us (a sibling compaction): re-list.
+      forgetSegmentLocked(Newest->first);
+      std::vector<uint32_t> Ids;
+      std::string Error;
+      relistLocked(Ids, Error);
+      Changed = true;
+    } else {
+      Changed = Newest->second.End != EndBefore;
     }
   }
-  std::sort(Missing.begin(), Missing.end(),
-            [](const StoreJournal::Entry &A, const StoreJournal::Entry &B) {
-              return A.Segment != B.Segment ? A.Segment < B.Segment
-                                            : A.Offset < B.Offset;
-            });
-  for (const StoreJournal::Entry &E : Missing)
-    Journal.append(E);
+  // A sibling rotated: the next segment ids exist.
+  for (;;) {
+    ScanResult Scan = scanSegmentLocked(NewestId + 1, FileBytes);
+    if (Scan != ScanResult::Live && Scan != ScanResult::Stale)
+      break;
+    Changed = true;
+  }
+  if (Changed)
+    ++Stats.IndexRefreshes;
+  return Changed;
+}
+
+bool DiskCertStore::relistLocked(std::vector<uint32_t> &Ids,
+                                 std::string &Error) {
+  if (!listSegmentIds(Dir, Ids, Error))
+    return false;
+  // Forget first: a compaction's output repeats the keys of the
+  // segments it replaced, which must then index afresh.
+  std::vector<uint32_t> Vanished;
+  for (const auto &[Id, S] : Segments)
+    if (!std::binary_search(Ids.begin(), Ids.end(), Id))
+      Vanished.push_back(Id);
+  for (uint32_t Id : Vanished)
+    forgetSegmentLocked(Id);
+  // Known segments may have grown; ids past the newest seen are new.
+  // (Unknown older ids were found stale or torn already.)
+  uint64_t FileBytes = 0;
+  for (uint32_t Id : Ids)
+    if (Id > NewestId || Segments.count(Id))
+      scanSegmentLocked(Id, FileBytes);
+  return true;
+}
+
+uint64_t DiskCertStore::forgetSegmentLocked(uint32_t Id) {
+  uint64_t Dropped = 0;
+  for (auto It = Index.begin(); It != Index.end();) {
+    if (It->second.Segment == Id) {
+      It = eraseEntryLocked(It);
+      ++Dropped;
+    } else {
+      ++It;
+    }
+  }
+  auto Fd = ReadFds.find(Id);
+  if (Fd != ReadFds.end()) {
+    ::close(Fd->second);
+    ReadFds.erase(Fd);
+  }
+  Segments.erase(Id);
+  return Dropped;
+}
+
+bool DiskCertStore::indexRecordLocked(StoreKey &&Key, const Certificate &Cert,
+                                      uint32_t Segment, uint64_t Offset,
+                                      size_t RecordBytes, uint64_t Checksum) {
+  RecordRef Ref;
+  Ref.Segment = Segment;
+  Ref.PayloadOffset = Offset + RecordHeaderBytes;
+  Ref.PayloadBytes = static_cast<uint32_t>(RecordBytes - RecordHeaderBytes);
+  Ref.Checksum = Checksum;
+  Ref.Kind = Cert.Kind;
+  Ref.CertifiedRadius = Cert.CertifiedRadius;
+  auto [It, Inserted] = Index.try_emplace(std::move(Key), Ref);
+  if (!Inserted) {
+    // Equal keys hold interchangeable certificates; keep the first, let
+    // compaction reclaim the rest.
+    ++Stats.DuplicateRecords;
+    return false;
+  }
+  Ranges.add(It->first, Ref.Kind, Ref.CertifiedRadius);
+  ++Stats.LiveRecords;
+  Stats.LiveBytes += RecordBytes;
+  return true;
 }
 
 int DiskCertStore::readFdLocked(uint32_t Segment) {
@@ -719,19 +710,18 @@ int DiskCertStore::readFdLocked(uint32_t Segment) {
 }
 
 DiskCertStore::ReadStatus
-DiskCertStore::readPayloadLocked(const RecordRef &Ref,
-                                 std::vector<uint8_t> &Out) {
-  int Fd = readFdLocked(Ref.Segment);
+DiskCertStore::readBytesLocked(uint32_t Segment, uint64_t Offset,
+                               std::vector<uint8_t> &Out) {
+  int Fd = readFdLocked(Segment);
   if (Fd < 0)
     // ENOENT = the segment file is gone (a sibling compacted it);
     // anything else (EMFILE under load, ...) may clear up — retry
     // later.
     return errno == ENOENT ? ReadStatus::Gone : ReadStatus::Transient;
-  Out.resize(Ref.PayloadBytes);
   size_t Done = 0;
   while (Done < Out.size()) {
     ssize_t N = ::pread(Fd, Out.data() + Done, Out.size() - Done,
-                        static_cast<off_t>(Ref.PayloadOffset + Done));
+                        static_cast<off_t>(Offset + Done));
     if (N < 0 && errno == EINTR)
       continue;
     if (N == 0)
@@ -743,213 +733,38 @@ DiskCertStore::readPayloadLocked(const RecordRef &Ref,
   return ReadStatus::Ok;
 }
 
-bool DiskCertStore::readRecordLocked(const StoreJournal::Entry &E,
-                                     std::vector<uint8_t> &Out) {
-  if (E.RecordBytes < RecordHeaderBytes ||
-      E.RecordBytes - RecordHeaderBytes > MaxPayloadBytes)
-    return false;
-  int Fd = readFdLocked(E.Segment);
-  if (Fd < 0)
-    return false;
-  Out.resize(E.RecordBytes);
-  size_t Done = 0;
-  while (Done < Out.size()) {
-    ssize_t N = ::pread(Fd, Out.data() + Done, Out.size() - Done,
-                        static_cast<off_t>(E.Offset + Done));
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0)
-      return false;
-    Done += static_cast<size_t>(N);
-  }
-  // The header must agree with the journal entry, and the payload with
-  // the header's checksum — corrupt bytes are never shipped or indexed.
-  ByteReader R{Out.data(), RecordHeaderBytes};
-  if (R.u32() != RecordMagic)
-    return false;
-  if (R.u32() != E.RecordBytes - RecordHeaderBytes)
-    return false;
-  uint64_t Checksum = R.u64();
-  if (Checksum != E.Checksum)
-    return false;
-  return fnv1a64(Out.data() + RecordHeaderBytes,
-                 E.RecordBytes - RecordHeaderBytes) == Checksum;
-}
-
-void DiskCertStore::ingestJournalEntryLocked(const StoreJournal::Entry &E) {
-  std::vector<uint8_t> Record;
-  if (!readRecordLocked(E, Record))
-    return; // Corrupt/vanished record: its serial stays a dead line.
-  StoreKey Key;
-  Certificate Cert;
-  if (!readPayload(Record.data() + RecordHeaderBytes,
-                   E.RecordBytes - RecordHeaderBytes, Key, Cert))
-    return;
-  if (std::find(KnownSegments.begin(), KnownSegments.end(), E.Segment) ==
-      KnownSegments.end()) {
-    KnownSegments.push_back(E.Segment);
-    std::sort(KnownSegments.begin(), KnownSegments.end());
-    ++Stats.Segments;
-  }
-  struct stat St;
-  if (::stat(segmentPath(E.Segment).c_str(), &St) == 0)
-    SegmentBytes[E.Segment] = static_cast<uint64_t>(St.st_size);
-  RecordRef Ref;
-  Ref.Segment = E.Segment;
-  Ref.PayloadOffset = E.Offset + RecordHeaderBytes;
-  Ref.PayloadBytes = E.RecordBytes - RecordHeaderBytes;
-  Ref.Checksum = E.Checksum;
-  Ref.Kind = Cert.Kind;
-  Ref.CertifiedRadius = Cert.CertifiedRadius;
-  auto [It, Inserted] = Index.try_emplace(std::move(Key), Ref);
-  if (Inserted) {
-    registerRangeLocked(It->first, Ref);
-    ++Stats.LiveRecords;
-    Stats.LiveBytes += E.RecordBytes;
-  } else {
-    ++Stats.DuplicateRecords;
-  }
-}
-
-void DiskCertStore::syncJournalWithDiskLocked() {
-  // Caller holds the flock. Bring the journal (and, incrementally, the
-  // index) in line with sibling mutations so our next journal entry
-  // lands *after* theirs instead of over theirs.
-  StoreJournal::Header H = Journal.peekHeader();
-  if (!H.Ok) {
-    // The journal vanished or rotted externally: republish from the
-    // index under a fresh epoch (replicas resync).
-    Journal.reset(nextEpochLocked(), journalEntriesFromIndexLocked());
-    return;
-  }
-  if (H.Epoch == Journal.epoch() && H.Generation == Journal.generation())
-    return;
-  uint64_t OldEpoch = Journal.epoch();
-  uint64_t FirstNew = 0;
-  if (!Journal.refresh(FirstNew))
-    return;
-  ++Stats.IndexRefreshes;
-  if (Journal.epoch() != OldEpoch || FirstNew == 1) {
-    // The segments changed shape under us (sibling compaction or
-    // retention). The full rescan takes the flock itself, which would
-    // not nest here, so defer it to the next lookup miss; meanwhile the
-    // index's dead refs degrade to misses on read.
-    PendingFullReload = true;
-    return;
-  }
-  for (uint64_t S = FirstNew; S <= Journal.entryCount(); ++S)
-    ingestJournalEntryLocked(Journal.entry(S));
-}
-
-bool DiskCertStore::maybeRefreshIndexLocked() {
-  StoreJournal::Header H = Journal.peekHeader();
-  bool Foreign = H.Ok && (H.Epoch != Journal.epoch() ||
-                          H.Generation != Journal.generation());
-  if (!PendingFullReload && !Foreign)
-    return false;
-  uint64_t OldEpoch = Journal.epoch();
-  uint64_t FirstNew = 0;
-  if (Foreign && !Journal.refresh(FirstNew))
-    return false;
-  ++Stats.IndexRefreshes;
-  if (PendingFullReload || Journal.epoch() != OldEpoch ||
-      (Foreign && FirstNew == 1)) {
-    // Records may have been removed (sibling compaction/retention):
-    // rebuild the index from the directory.
-    PendingFullReload = false;
-    clearIndexLocked();
-    std::string Error;
-    uint64_t TotalSegmentBytes = 0;
-    loadLocked(Error, TotalSegmentBytes);
-    return true;
-  }
-  // Same-epoch growth: ingest exactly the new journal lines.
-  for (uint64_t S = FirstNew; S <= Journal.entryCount(); ++S)
-    ingestJournalEntryLocked(Journal.entry(S));
-  return true;
-}
-
-void DiskCertStore::registerRangeLocked(const StoreKey &K,
-                                        const RecordRef &Ref) {
-  // Only original proofs enter the range index — same rule as the RAM
-  // tier (serving/CertCache.cpp): a write-through of a range- or
-  // slack-served answer has CertifiedRadius != budget and serves its
-  // exact key only.
-  if (Ref.CertifiedRadius != K.PoisoningBudget)
-    return;
-  RangeSlot &Slot = RangeIndex[rangeBaseKey(K)];
-  if (Ref.Kind == VerdictKind::Robust)
-    Slot.Robust.emplace(Ref.CertifiedRadius, &K);
-  else if (Ref.Kind == VerdictKind::Unknown)
-    Slot.Unknown.emplace(Ref.CertifiedRadius, &K);
-}
-
-void DiskCertStore::unregisterRangeLocked(const StoreKey &K,
-                                          const RecordRef &Ref) {
-  if (Ref.CertifiedRadius != K.PoisoningBudget)
-    return;
-  auto RIt = RangeIndex.find(rangeBaseKey(K));
-  if (RIt == RangeIndex.end())
-    return;
-  if (Ref.Kind == VerdictKind::Robust)
-    RIt->second.Robust.erase(Ref.CertifiedRadius);
-  else if (Ref.Kind == VerdictKind::Unknown)
-    RIt->second.Unknown.erase(Ref.CertifiedRadius);
-  if (RIt->second.Robust.empty() && RIt->second.Unknown.empty())
-    RangeIndex.erase(RIt);
-}
-
-void DiskCertStore::dropDeadEntryLocked(
-    std::unordered_map<StoreKey, RecordRef, StoreKeyHash>::iterator It) {
-  // Permanently unreadable or not the record we indexed: drop the
-  // dead entry — leaving it would also make `store` decline the
-  // re-verified certificate as a "duplicate", pinning the key in a
-  // never-served state for the rest of the process.
-  unregisterRangeLocked(It->first, It->second);
+DiskCertStore::IndexMap::iterator
+DiskCertStore::eraseEntryLocked(IndexMap::iterator It) {
+  Ranges.remove(It->first, It->second.Kind, It->second.CertifiedRadius);
   Stats.LiveBytes -= std::min<uint64_t>(
       Stats.LiveBytes, RecordHeaderBytes + It->second.PayloadBytes);
   --Stats.LiveRecords;
-  Index.erase(It);
-  ++Stats.CorruptSkipped;
+  return Index.erase(It);
 }
 
 bool DiskCertStore::lookupLocked(const StoreKey &K, uint32_t PoisoningBudget,
-                                 bool RangeOnly, Certificate &Out) {
-  auto It = RangeOnly ? Index.end() : Index.find(K);
+                                 Certificate &Out) {
+  auto It = Index.find(K);
   bool Ranged = false;
   if (It == Index.end()) {
-    // Exact miss (or range-only probe): radius-range resolution, same
-    // preference order as the RAM tier — the tightest stored Robust
-    // proof at radius >= n, else the widest failed attempt at
-    // radius <= n.
-    auto RIt = RangeIndex.find(rangeBaseKey(K));
-    if (RIt != RangeIndex.end()) {
-      const StoreKey *Found = nullptr;
-      auto Rob = RIt->second.Robust.lower_bound(PoisoningBudget);
-      if (Rob != RIt->second.Robust.end()) {
-        Found = Rob->second;
-      } else {
-        auto Unk = RIt->second.Unknown.upper_bound(PoisoningBudget);
-        if (Unk != RIt->second.Unknown.begin())
-          Found = std::prev(Unk)->second;
-      }
-      if (Found) {
-        It = Index.find(*Found);
-        assert(It != Index.end() && "range index out of lockstep");
-        Ranged = true;
-      }
-    }
-    if (It == Index.end())
+    // Exact miss: the radius-range rule, same preference order as the
+    // RAM tier (serving/StoreKey.h `RadiusIndex`).
+    const StoreKey *Found = Ranges.find(K, PoisoningBudget);
+    if (!Found)
       return false;
+    It = Index.find(*Found);
+    assert(It != Index.end() && "range index out of lockstep");
+    Ranged = true;
   }
-  std::vector<uint8_t> Payload;
+  std::vector<uint8_t> Payload(It->second.PayloadBytes);
   StoreKey StoredKey;
   Certificate Cert;
   // Records are immutable once written, but re-verify end to end anyway:
   // a deleted segment (another process compacted), bit rot, or an index
   // bug must degrade to a miss (re-verification), never to a wrong
   // certificate.
-  ReadStatus Status = readPayloadLocked(It->second, Payload);
+  ReadStatus Status =
+      readBytesLocked(It->second.Segment, It->second.PayloadOffset, Payload);
   if (Status == ReadStatus::Transient)
     // The record is probably fine (fd exhaustion etc.); keep the entry
     // so the next lookup retries, just miss this once.
@@ -960,17 +775,21 @@ bool DiskCertStore::lookupLocked(const StoreKey &K, uint32_t PoisoningBudget,
       StoredKey != It->first ||
       (Ranged && !rangeServes(Cert.Kind, Cert.CertifiedRadius,
                               PoisoningBudget))) {
-    dropDeadEntryLocked(It);
+    // Permanently unreadable or not the record we indexed: drop the
+    // dead entry — leaving it would also make `store` decline the
+    // re-verified certificate as a "duplicate", pinning the key in a
+    // never-served state for the rest of the process.
+    eraseEntryLocked(It);
+    ++Stats.CorruptSkipped;
     return false;
   }
   if (Ranged) {
-    if (!RangeOnly)
-      ++Stats.RangeHits;
+    ++Stats.RangeHits;
     // The stored proof keeps its radius; only the answered budget is
     // rewritten (CertificateStore range contract,
     // serving/CertificateStore.h).
     Cert.PoisoningBudget = PoisoningBudget;
-  } else if (!RangeOnly) {
+  } else {
     ++Stats.Hits;
   }
   Out = Cert;
@@ -983,29 +802,21 @@ bool DiskCertStore::lookup(const DatasetFingerprint &Data, const float *X,
   StoreKey K = makeStoreKey(Data, X, NumFeatures, PoisoningBudget, Config);
   std::lock_guard<std::mutex> Guard(Mutex);
   for (int Pass = 0; Pass < 2; ++Pass) {
-    if (lookupLocked(K, PoisoningBudget, /*RangeOnly=*/false, Out))
+    if (lookupLocked(K, PoisoningBudget, Out))
       return true;
     // A miss may just mean a sibling process appended (or compacted)
-    // since we last looked: one journal-header pread tells, a refresh
-    // absorbs, and the retry serves their record without a reopen.
-    if (Pass != 0 || !maybeRefreshIndexLocked())
+    // since we last looked: an fstat and an open attempt tell, a
+    // refresh absorbs, and the retry serves their record without a
+    // reopen.
+    if (Pass != 0 || !refreshLocked())
       break;
   }
   ++Stats.Misses;
   return false;
 }
 
-bool DiskCertStore::rangeLookup(const DatasetFingerprint &Data, const float *X,
-                                unsigned NumFeatures, uint32_t PoisoningBudget,
-                                const VerifierConfig &Config,
-                                Certificate &Out) {
-  StoreKey K = makeStoreKey(Data, X, NumFeatures, PoisoningBudget, Config);
-  std::lock_guard<std::mutex> Guard(Mutex);
-  return lookupLocked(K, PoisoningBudget, /*RangeOnly=*/true, Out);
-}
-
 bool DiskCertStore::appendLocked(const std::vector<uint8_t> &Record,
-                                 RecordRef &Ref) {
+                                 StoreKey &&Key, const Certificate &Cert) {
   // Cross-process single-writer section. No lock, no write: appending
   // unserialized would let two processes interleave records. Non-
   // blocking: the caller holds the store mutex, and waiting out a
@@ -1013,10 +824,21 @@ bool DiskCertStore::appendLocked(const std::vector<uint8_t> &Record,
   FileLock Lock(LockFd, /*Blocking=*/false);
   if (!Lock.locked())
     return false;
-  // Under the lock, absorb any sibling journal growth first: our entry
-  // must extend the journal, not overwrite a line a sibling just wrote.
-  syncJournalWithDiskLocked();
-  // Up to four tries: open + nlink-rotation + size-rotation + write.
+  // Under the lock nothing else appends: index every sibling write
+  // first, so this record lands right after a walked boundary at the
+  // end of the newest segment — the log order replicas follow.
+  refreshLocked();
+  auto SwitchTo = [&](uint32_t Segment) {
+    if (AppendFd >= 0)
+      ::close(AppendFd);
+    AppendFd = -1;
+    AppendSegment = Segment;
+  };
+  auto Rotate = [&] { SwitchTo(AppendSegment + 1); };
+  if (NewestId > AppendSegment)
+    SwitchTo(NewestId); // A sibling rotated past us.
+  // Each rotation costs a try: four cover an unlinked fd, a segment
+  // ending off a record boundary, and a full segment before the write.
   for (int Attempt = 0; Attempt < 4; ++Attempt) {
     if (AppendFd < 0) {
       AppendFd = ::open(segmentPath(AppendSegment).c_str(),
@@ -1026,18 +848,13 @@ bool DiskCertStore::appendLocked(const std::vector<uint8_t> &Record,
     }
     // A sibling's compaction may have unlinked the segment this fd
     // still points at — writing there would "succeed" into an inode
-    // that vanishes with the last close. Detect it and rotate to the
-    // next id (appending to an existing, sibling-written segment is
-    // fine: its end is a record boundary).
+    // that vanishes with the last close.
     struct stat St;
     if (::fstat(AppendFd, &St) != 0 || St.st_nlink == 0) {
-      ::close(AppendFd);
-      AppendFd = -1;
-      ++AppendSegment;
+      Rotate();
       continue;
     }
-    // Another process may have appended since we last looked; the
-    // authoritative size is the file's, read under the lock.
+    // The authoritative size is the file's, read under the lock.
     off_t End = ::lseek(AppendFd, 0, SEEK_END);
     if (End < 0)
       return false;
@@ -1049,15 +866,13 @@ bool DiskCertStore::appendLocked(const std::vector<uint8_t> &Record,
                                off_t GoodEnd) {
       if (writeAll(AppendFd, Data, Size))
         return true;
-      if (::ftruncate(AppendFd, GoodEnd) != 0) {
+      if (::ftruncate(AppendFd, GoodEnd) != 0)
         // Rollback failed too: abandon the segment, never append to it
         // again from this handle (reopen repairs it).
-        ::close(AppendFd);
-        AppendFd = -1;
-        ++AppendSegment;
-      }
+        Rotate();
       return false;
     };
+    auto Seg = Segments.find(AppendSegment);
     if (End == 0) {
       ByteWriter Header;
       Header.u32(SegmentMagic);
@@ -1065,41 +880,30 @@ bool DiskCertStore::appendLocked(const std::vector<uint8_t> &Record,
       if (!WriteOrRollBack(Header.Bytes.data(), Header.Bytes.size(), 0))
         return false;
       End = static_cast<off_t>(SegmentHeaderBytes);
-      if (std::find(KnownSegments.begin(), KnownSegments.end(),
-                    AppendSegment) == KnownSegments.end()) {
-        KnownSegments.push_back(AppendSegment);
-        std::sort(KnownSegments.begin(), KnownSegments.end());
-        ++Stats.Segments;
-      }
+      Seg = Segments.insert_or_assign(AppendSegment,
+                                      SegmentState{SegmentHeaderBytes, {}})
+                .first;
+      NewestId = std::max(NewestId, AppendSegment);
+    } else if (Seg == Segments.end() ||
+               Seg->second.End != static_cast<uint64_t>(End)) {
+      // Stale, foreign, or ending in bytes the walk could not cross:
+      // appending behind them would strand the record.
+      Rotate();
+      continue;
     }
     if (Options.MaxSegmentBytes &&
         static_cast<uint64_t>(End) + Record.size() > Options.MaxSegmentBytes &&
         static_cast<uint64_t>(End) > SegmentHeaderBytes) {
-      // Rotate and retry once with the fresh segment.
-      ::close(AppendFd);
-      AppendFd = -1;
-      ++AppendSegment;
+      Rotate();
       continue;
     }
     if (!WriteOrRollBack(Record.data(), Record.size(), End))
       return false;
-    Ref.Segment = AppendSegment;
-    Ref.PayloadOffset = static_cast<uint64_t>(End) + RecordHeaderBytes;
-    Ref.PayloadBytes =
-        static_cast<uint32_t>(Record.size() - RecordHeaderBytes);
-    SegmentBytes[AppendSegment] =
-        static_cast<uint64_t>(End) + Record.size();
-    // Journal the record while still holding the flock: the serial a
-    // replica pulls by must name exactly these bytes.
-    StoreJournal::Entry E;
-    E.Segment = AppendSegment;
-    E.RecordBytes = static_cast<uint32_t>(Record.size());
-    E.Offset = static_cast<uint64_t>(End);
-    {
-      ByteReader R{Record.data() + 8, 8};
-      E.Checksum = R.u64();
-    }
-    Journal.append(E);
+    Seg->second.Starts.push_back(static_cast<uint64_t>(End));
+    Seg->second.End = static_cast<uint64_t>(End) + Record.size();
+    indexRecordLocked(std::move(Key), Cert, AppendSegment,
+                      static_cast<uint64_t>(End), Record.size(),
+                      recordChecksum(Record.data()));
     return true;
   }
   return false;
@@ -1123,19 +927,9 @@ void DiskCertStore::store(const DatasetFingerprint &Data, const float *X,
     return;
   }
   std::vector<uint8_t> Record = serializeRecord(K, Cert);
-  RecordRef Ref;
-  if (!appendLocked(Record, Ref))
+  if (!appendLocked(Record, std::move(K), Cert))
     return; // The store may decline (CertificateStore contract).
-  Ref.Checksum = fnv1a64(Record.data() + RecordHeaderBytes,
-                         Record.size() - RecordHeaderBytes);
-  Ref.Kind = Cert.Kind;
-  Ref.CertifiedRadius = Cert.CertifiedRadius;
-  auto [It, Inserted] = Index.emplace(std::move(K), Ref);
-  if (Inserted)
-    registerRangeLocked(It->first, Ref);
   ++Stats.Stores;
-  ++Stats.LiveRecords;
-  Stats.LiveBytes += Record.size();
   applyRetentionLocked();
 }
 
@@ -1143,52 +937,26 @@ void DiskCertStore::applyRetentionLocked() {
   if (!Options.RetentionBytes || Options.ReadOnly)
     return;
   uint64_t Total = 0;
-  for (const auto &[Segment, Bytes] : SegmentBytes) {
-    (void)Segment;
-    Total += Bytes;
-  }
+  for (const auto &[Id, S] : Segments)
+    Total += S.End;
   if (Total <= Options.RetentionBytes)
     return;
   FileLock Lock(LockFd, /*Blocking=*/false);
   if (!Lock.locked())
     return; // Contended: the budget check just waits for the next append.
-  bool Evicted = false;
   // Oldest-first, never the open append segment, never the last one
   // standing: certificates are cache entries, so an evicted record is
   // simply re-verified — but evicting the segment appends are landing
-  // in would tear the write path out from under itself.
-  while (Total > Options.RetentionBytes && KnownSegments.size() > 1 &&
-         KnownSegments.front() != AppendSegment) {
-    uint32_t Victim = KnownSegments.front();
-    for (auto It = Index.begin(); It != Index.end();) {
-      if (It->second.Segment == Victim) {
-        unregisterRangeLocked(It->first, It->second);
-        Stats.LiveBytes -= std::min<uint64_t>(
-            Stats.LiveBytes, RecordHeaderBytes + It->second.PayloadBytes);
-        --Stats.LiveRecords;
-        ++Stats.Evictions;
-        It = Index.erase(It);
-      } else {
-        ++It;
-      }
-    }
-    auto FdIt = ReadFds.find(Victim);
-    if (FdIt != ReadFds.end()) {
-      ::close(FdIt->second);
-      ReadFds.erase(FdIt);
-    }
+  // in would tear the write path out from under itself. Replicas whose
+  // cursor sits in a surviving segment are unaffected.
+  while (Total > Options.RetentionBytes && Segments.size() > 1 &&
+         Segments.begin()->first != AppendSegment) {
+    uint32_t Victim = Segments.begin()->first;
+    Total -= std::min(Total, Segments.begin()->second.End);
+    Stats.Evictions += forgetSegmentLocked(Victim);
     ::unlink(segmentPath(Victim).c_str());
-    Total -= std::min(Total, SegmentBytes[Victim]);
-    SegmentBytes.erase(Victim);
-    KnownSegments.erase(KnownSegments.begin());
-    --Stats.Segments;
     ++Stats.RetentionEvictedSegments;
-    Evicted = true;
   }
-  if (Evicted)
-    // Serials renumbered: publish the survivors under a fresh epoch so
-    // replicas resync instead of silently skipping records.
-    Journal.reset(nextEpochLocked(), journalEntriesFromIndexLocked());
 }
 
 bool DiskCertStore::compact(std::string *Error) {
@@ -1204,34 +972,22 @@ bool DiskCertStore::compact(std::string *Error) {
   if (!Lock.locked())
     return Fail("cannot lock '" + Dir + "/LOCK': " + errnoString());
 
-  // This handle's index only covers the records it saw at open plus its
-  // own appends — sibling processes may have appended records (and
-  // whole segments) since. Compaction is a *directory-wide* rewrite, so
-  // rescan under the lock: every intact record in every current-version
-  // segment survives (deduped), whoever wrote it. Only duplicates,
+  // Compaction is a *directory-wide* rewrite: sibling processes may
+  // have appended records (and whole segments) this handle has not
+  // scanned yet. Under the lock nothing moves, so one re-list indexes
+  // every intact record in every current-version segment, whoever
+  // wrote it; those (deduplicated) survive. Only duplicates,
   // torn/corrupt records, and stale-version segments are reclaimed.
   std::vector<uint32_t> OldSegments;
-  {
-    DIR *D = ::opendir(Dir.c_str());
-    if (!D)
-      return Fail("cannot list '" + Dir + "': " + errnoString());
-    while (struct dirent *Entry = ::readdir(D)) {
-      uint32_t Id = 0;
-      if (parseSegmentName(Entry->d_name, Id))
-        OldSegments.push_back(Id);
-    }
-    ::closedir(D);
-  }
-  std::sort(OldSegments.begin(), OldSegments.end());
-  uint32_t MaxSeen =
-      std::max(AppendSegment,
-               OldSegments.empty() ? 0u : OldSegments.back());
-  uint32_t NewSegment = MaxSeen + 1;
+  std::string ListError;
+  if (!relistLocked(OldSegments, ListError))
+    return Fail(ListError);
+  uint64_t WalkedRecords = 0;
+  for (const auto &[Id, S] : Segments)
+    WalkedRecords += S.Starts.size();
+  uint32_t NewSegment = std::max(AppendSegment, NewestId) + 1;
   std::string NewPath = segmentPath(NewSegment);
 
-  std::unordered_map<StoreKey, RecordRef, StoreKeyHash> NewIndex;
-  uint64_t NewBytes = SegmentHeaderBytes;
-  uint64_t SeenRecords = 0;
   // O_EXCL: never clobber a file some racing writer created — the lock
   // should make that impossible, but an unlink is irreversible.
   int Fd = ::open(NewPath.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
@@ -1242,46 +998,41 @@ bool DiskCertStore::compact(std::string *Error) {
     ::unlink(NewPath.c_str());
     return Fail(Message);
   };
-  {
-    ByteWriter Header;
-    Header.u32(SegmentMagic);
-    Header.u32(FormatVersion);
-    if (!writeAll(Fd, Header.Bytes.data(), Header.Bytes.size()))
+  ByteWriter Header;
+  Header.u32(SegmentMagic);
+  Header.u32(FormatVersion);
+  if (!writeAll(Fd, Header.Bytes.data(), Header.Bytes.size()))
+    return Abort("cannot write '" + NewPath + "': " + errnoString());
+
+  // Copy the indexed records in log order, re-validated on the way (a
+  // record that rotted since its scan is dropped, not copied forward).
+  std::vector<IndexMap::iterator> Survivors;
+  for (auto It = Index.begin(); It != Index.end(); ++It)
+    Survivors.push_back(It);
+  std::sort(Survivors.begin(), Survivors.end(), [](auto A, auto B) {
+    return std::tie(A->second.Segment, A->second.PayloadOffset) <
+           std::tie(B->second.Segment, B->second.PayloadOffset);
+  });
+  IndexMap NewIndex;
+  SegmentState NewState{SegmentHeaderBytes, {}};
+  for (IndexMap::iterator It : Survivors) {
+    const RecordRef &Ref = It->second;
+    std::vector<uint8_t> Record(RecordHeaderBytes + Ref.PayloadBytes);
+    StoreKey Key;
+    Certificate Cert;
+    if (readBytesLocked(Ref.Segment, Ref.PayloadOffset - RecordHeaderBytes,
+                        Record) != ReadStatus::Ok ||
+        !parseRecord(Record.data(), Record.size(), Key, Cert) ||
+        Key != It->first)
+      continue;
+    if (!writeAll(Fd, Record.data(), Record.size()))
       return Abort("cannot write '" + NewPath + "': " + errnoString());
-  }
-  for (uint32_t Id : OldSegments) {
-    std::vector<uint8_t> Bytes;
-    std::string ReadError;
-    if (!readWholeFile(segmentPath(Id), Bytes, ReadError) ||
-        Bytes.size() < SegmentHeaderBytes)
-      continue; // Unreadable/torn-header: nothing to preserve.
-    ByteReader Header{Bytes.data(), Bytes.size()};
-    if (Header.u32() != SegmentMagic || Header.u32() != FormatVersion)
-      continue; // Stale format: invalidated by design.
-    bool WriteFailed = false;
-    walkSegmentRecords(Bytes, [&](StoreKey &&Key, const Certificate &Cert,
-                                  size_t, uint32_t, uint64_t Checksum) {
-      ++SeenRecords;
-      if (WriteFailed || NewIndex.count(Key))
-        return; // Duplicate (first wins — certificates interchangeable).
-      std::vector<uint8_t> Record = serializeRecord(Key, Cert);
-      if (!writeAll(Fd, Record.data(), Record.size())) {
-        WriteFailed = true;
-        return;
-      }
-      RecordRef NewRef;
-      NewRef.Segment = NewSegment;
-      NewRef.PayloadOffset = NewBytes + RecordHeaderBytes;
-      NewRef.PayloadBytes =
-          static_cast<uint32_t>(Record.size() - RecordHeaderBytes);
-      NewRef.Checksum = Checksum;
-      NewRef.Kind = Cert.Kind;
-      NewRef.CertifiedRadius = Cert.CertifiedRadius;
-      NewIndex.emplace(std::move(Key), NewRef);
-      NewBytes += Record.size();
-    });
-    if (WriteFailed)
-      return Abort("cannot write '" + NewPath + "': " + errnoString());
+    RecordRef NewRef = Ref;
+    NewRef.Segment = NewSegment;
+    NewRef.PayloadOffset = NewState.End + RecordHeaderBytes;
+    NewIndex.emplace(It->first, NewRef);
+    NewState.Starts.push_back(NewState.End);
+    NewState.End += Record.size();
   }
   // The new segment must be durable before the old ones disappear —
   // its *data* via fsync on the file, its *directory entry* via fsync
@@ -1309,71 +1060,97 @@ bool DiskCertStore::compact(std::string *Error) {
     ::unlink(segmentPath(Id).c_str());
 
   Index = std::move(NewIndex);
-  RangeIndex.clear();
+  Ranges.clear();
   for (const auto &[Key, Ref] : Index)
-    registerRangeLocked(Key, Ref);
-  KnownSegments = {NewSegment};
-  SegmentBytes.clear();
-  SegmentBytes[NewSegment] = NewBytes;
-  AppendSegment = NewSegment;
-  Stats.Segments = 1;
-  Stats.LiveRecords = Index.size();
+    Ranges.add(Key, Ref.Kind, Ref.CertifiedRadius);
   // Same accounting as the open-time scan: record bytes (16-byte record
   // headers included), the 8-byte segment header excluded.
-  Stats.LiveBytes = NewBytes - SegmentHeaderBytes;
+  Stats.LiveRecords = Index.size();
+  Stats.LiveBytes = NewState.End - SegmentHeaderBytes;
+  Segments.clear();
+  Segments.emplace(NewSegment, std::move(NewState));
+  NewestId = AppendSegment = NewSegment;
   ++Stats.Compactions;
-  Stats.CompactionRecordsDropped += SeenRecords - Index.size();
+  Stats.CompactionRecordsDropped += WalkedRecords - Index.size();
   Stats.DuplicateRecords = 0;
-  // Every serial renumbered: new epoch, survivor list republished, and
-  // every replica's next poll answers EpochReset into a full resync.
-  Journal.reset(nextEpochLocked(), journalEntriesFromIndexLocked());
   return true;
 }
 
 ReplicationEndpoint::Delta
-DiskCertStore::serveJournalPoll(const PollRequest &Poll) {
+DiskCertStore::serveReplicationPoll(const PollRequest &Poll) {
   std::lock_guard<std::mutex> Guard(Mutex);
-  Delta D;
   // Serve sibling appends promptly rather than waiting for a lookup
   // miss to notice them.
-  maybeRefreshIndexLocked();
-  if (!Journal.valid())
-    return D; // Status stays Unavailable.
-  D.Epoch = Journal.epoch();
-  D.HeadSerial = Journal.entryCount();
-  if (Poll.Epoch != Journal.epoch() || Poll.Serial > D.HeadSerial) {
-    // The replica's epoch is gone (or it is ahead of a journal that was
-    // rebuilt underneath it): full resync from serial 0.
-    D.Status = PollStatus::EpochReset;
+  refreshLocked();
+  Delta D;
+  D.Status = PollStatus::Delta;
+  D.Segment = Poll.Segment;
+  D.Offset = Poll.Offset;
+  auto Seg = Segments.find(Poll.Segment);
+  uint64_t Offset = Poll.Offset;
+  if (Seg == Segments.end()) {
+    // The cursor's segment is gone (compaction, retention) or was never
+    // one of ours: resume at the next live segment, else at the oldest.
+    // Whatever that replays, the replica declines as duplicates.
+    Seg = Segments.upper_bound(Poll.Segment);
+    if (Seg == Segments.end())
+      Seg = Segments.begin();
+    Offset = SegmentHeaderBytes;
+  } else if (Offset != Seg->second.End &&
+             !std::binary_search(Seg->second.Starts.begin(),
+                                 Seg->second.Starts.end(), Offset)) {
+    // Past EOF, or not a record boundary this handle walked: never
+    // parse from there — rewind to the segment's first record.
+    Offset = SegmentHeaderBytes;
+  }
+  if (Seg == Segments.end()) {
+    D.AtHead = true; // Nothing to ship yet.
     return D;
   }
+
   uint32_t MaxRecords =
       std::min<uint32_t>(std::max<uint32_t>(Poll.MaxRecords, 1), 512);
   constexpr size_t MaxBatchBytes = 256u << 10;
-  uint64_t Serial = Poll.Serial;
   size_t BatchBytes = 0;
-  while (Serial < D.HeadSerial && D.Records.size() < MaxRecords &&
-         BatchBytes < MaxBatchBytes) {
-    const StoreJournal::Entry &E = Journal.entry(++Serial);
-    std::vector<uint8_t> Record;
-    if (!readRecordLocked(E, Record))
-      continue; // Corrupt/evicted record: its serial still advances.
-    if (Poll.ScopeHi || Poll.ScopeLo) {
-      // The key's dataset fingerprint leads the payload; out-of-scope
-      // records are skipped but their serials advance the cursor.
-      if (Record.size() < RecordHeaderBytes + 16)
-        continue;
-      ByteReader R{Record.data() + RecordHeaderBytes, 16};
-      uint64_t Hi = R.u64();
-      uint64_t Lo = R.u64();
-      if (Hi != Poll.ScopeHi || Lo != Poll.ScopeLo)
-        continue;
+  for (;;) {
+    const SegmentState &S = Seg->second;
+    if (Offset >= S.End) {
+      // Past the walked records: the end, a torn tail, or a bad header.
+      auto Next = std::next(Seg);
+      if (Next == Segments.end()) {
+        // The newest segment: stay put, an append may be in flight.
+        D.AtHead = true;
+        break;
+      }
+      // An older segment never grows again: move on.
+      Seg = Next;
+      Offset = SegmentHeaderBytes;
+      continue;
     }
-    BatchBytes += Record.size();
-    D.Records.push_back(std::move(Record));
+    if (D.Records.size() >= MaxRecords || BatchBytes >= MaxBatchBytes)
+      break;
+    // Offset is a walked boundary, so the record ends at the next one.
+    auto Start = std::lower_bound(S.Starts.begin(), S.Starts.end(), Offset);
+    uint64_t RecordEnd = std::next(Start) == S.Starts.end() ? S.End
+                                                            : *std::next(Start);
+    std::vector<uint8_t> Record(RecordEnd - Offset);
+    StoreKey Key;
+    Certificate Cert;
+    bool Ship =
+        readBytesLocked(Seg->first, Offset, Record) == ReadStatus::Ok &&
+        parseRecord(Record.data(), Record.size(), Key, Cert) &&
+        ((!Poll.ScopeHi && !Poll.ScopeLo) ||
+         (Key.Data.Hi == Poll.ScopeHi && Key.Data.Lo == Poll.ScopeLo));
+    // A corrupt, vanished, or out-of-scope record is skipped; the
+    // cursor still moves past it.
+    Offset = RecordEnd;
+    if (Ship) {
+      BatchBytes += Record.size();
+      D.Records.push_back(std::move(Record));
+    }
   }
-  D.NextSerial = Serial;
-  D.Status = PollStatus::Delta;
+  D.Segment = Seg->first;
+  D.Offset = Offset;
   return D;
 }
 
@@ -1387,44 +1164,25 @@ DiskCertStore::applyReplicatedRecord(const uint8_t *Data, size_t Size) {
   // The same validation an open-time scan applies: header shape,
   // checksum, parseable payload, persistable verdict. A corrupt delta
   // is reported (and counted) but never lands in a segment.
-  if (Size < RecordHeaderBytes ||
-      Size > RecordHeaderBytes + static_cast<size_t>(MaxPayloadBytes)) {
-    ++Stats.CorruptSkipped;
-    return ApplyResult::Corrupt;
-  }
-  ByteReader R{Data, RecordHeaderBytes};
-  uint32_t Magic = R.u32();
-  uint32_t PayloadBytes = R.u32();
-  uint64_t Checksum = R.u64();
   StoreKey Key;
   Certificate Cert;
-  if (Magic != RecordMagic || PayloadBytes != Size - RecordHeaderBytes ||
-      fnv1a64(Data + RecordHeaderBytes, PayloadBytes) != Checksum ||
-      !readPayload(Data + RecordHeaderBytes, PayloadBytes, Key, Cert)) {
+  if (!parseRecord(Data, Size, Key, Cert)) {
     ++Stats.CorruptSkipped;
     return ApplyResult::Corrupt;
   }
   if (Index.count(Key)) {
-    // Replays (EpochReset resyncs, duplicate deltas) are no-ops — the
-    // normal duplicate-decline path makes replication idempotent.
+    // Replays (after a source compaction, a cursor rewind, a fresh
+    // puller) are no-ops — the normal duplicate-decline path makes
+    // replication idempotent.
     ++Stats.DuplicatesDeclined;
     return ApplyResult::Duplicate;
   }
   // Append the *identical bytes* the source shipped: a replicated
   // certificate is byte-for-byte the source's record payload.
-  std::vector<uint8_t> Record(Data, Data + Size);
-  RecordRef Ref;
-  if (!appendLocked(Record, Ref))
+  if (!appendLocked(std::vector<uint8_t>(Data, Data + Size), std::move(Key),
+                    Cert))
     return ApplyResult::Declined;
-  Ref.Checksum = Checksum;
-  Ref.Kind = Cert.Kind;
-  Ref.CertifiedRadius = Cert.CertifiedRadius;
-  auto [It, Inserted] = Index.emplace(std::move(Key), Ref);
-  if (Inserted)
-    registerRangeLocked(It->first, Ref);
   ++Stats.Stores;
-  ++Stats.LiveRecords;
-  Stats.LiveBytes += Size;
   applyRetentionLocked();
   return ApplyResult::Applied;
 }
@@ -1432,7 +1190,6 @@ DiskCertStore::applyReplicatedRecord(const uint8_t *Data, size_t Size) {
 StoreStats DiskCertStore::stats() const {
   std::lock_guard<std::mutex> Guard(Mutex);
   StoreStats Snapshot = Stats;
-  Snapshot.Epoch = Journal.epoch();
-  Snapshot.JournalRecords = Journal.entryCount();
+  Snapshot.Segments = Segments.size();
   return Snapshot;
 }

@@ -41,12 +41,6 @@
 /// written with a single `write(2)` call, so a crash can only leave a
 /// *torn tail*, never an interleaved one.
 ///
-/// Alongside the segments lives `journal.antj` (serving/StoreJournal.h):
-/// a replication journal assigning every appended record a serial within
-/// an epoch. The journal is derived data — segments stay the system of
-/// record — reconciled against the index on every open and rebuilt
-/// under a fresh epoch when missing or unreadable.
-///
 /// ## Crash consistency and corruption tolerance
 ///
 /// `open` validates every record: a bad segment header (or unknown
@@ -57,10 +51,9 @@
 /// certificate is forgotten and re-verified, which is always sound.
 /// When the tail of the last segment is torn, open truncates it back to
 /// the last whole record (under the exclusive lock) so later appends
-/// are not stranded behind garbage; a torn journal entry tail is
-/// repaired the same way. tests/DiskCertStoreTests.cpp truncates a
-/// store at every byte offset and asserts reopen never returns a wrong
-/// certificate.
+/// are not stranded behind garbage. tests/DiskCertStoreTests.cpp
+/// truncates a store at every byte offset and asserts reopen never
+/// returns a wrong certificate.
 ///
 /// ## Locking protocol (single-writer / multi-reader)
 ///
@@ -69,34 +62,49 @@
 /// exclusively; lookups take no lock at all (records are immutable once
 /// written, and the checksum + full-key compare reject anything torn).
 /// Several `CertServer` processes can thus share one store directory:
-/// one appends at a time, everyone reads. A process's index covers the
-/// records present when it opened plus its own appends; a sibling's
-/// append bumps the journal generation, which a lookup miss detects
-/// with one header `pread` and absorbs by refreshing the index in
-/// place — no reopen required. A `ReadOnly` open never takes the lock
-/// at all (and never repairs, journals, or appends), so a pure replica
-/// can serve from a directory another process owns.
+/// one appends at a time, everyone reads. Appends always go to the
+/// newest segment in the directory, so the segments in id order are one
+/// ordered log.
+///
+/// ## Index freshness
+///
+/// Per readable segment the handle keeps a "scanned through" offset:
+/// every record before it is indexed, nothing after it has been read.
+/// Three paths read `[scanned, EOF)` with the same record walk and the
+/// same index insert: `open`, the lookup-miss refresh, and the append
+/// path (under the flock, before it writes). The refresh costs one
+/// `fstat` of the newest known segment (growth, or `st_nlink == 0` after
+/// a sibling compaction) and one `open` attempt on the next segment id
+/// (a sibling rotation); only a vanished newest segment re-lists the
+/// directory. A sibling's records therefore serve on this handle's
+/// next miss, without a reopen. A `ReadOnly` open never takes the lock
+/// at all (and never repairs or appends), so a pure replica can serve
+/// from a directory another process owns.
 ///
 /// ## Replication (the `ReplicationEndpoint` face)
 ///
-/// `serveJournalPoll` answers "(epoch, serial) → what next?" by
-/// shipping whole serialized records, bytes exactly as they sit in the
-/// segment (checksum re-verified before shipping, corrupt entries
-/// skipped but their serials still advance). `applyReplicatedRecord`
-/// is the replica side: it validates the record like an open-time scan
-/// would, declines duplicates, and appends the *identical bytes* — so
-/// a replicated certificate is byte-for-byte the source's, and a
-/// corrupt or replayed delta degrades to a skip, never a wrong
-/// certificate. Compaction and retention bump the journal *epoch*; a
-/// replica presenting an old epoch is told `EpochReset` and performs a
-/// full resync, which the duplicate-decline path makes idempotent.
+/// The segments are the replication log. A replica's cursor is a
+/// (segment id, byte offset) pair naming a record boundary;
+/// `serveReplicationPoll` ships the whole records after it, bytes
+/// exactly as they sit in the segment (checksum re-verified before
+/// shipping; a corrupt or out-of-scope record is skipped but the cursor
+/// still moves past it). A cursor in a deleted segment (compaction,
+/// retention) resumes at the next live segment, else the oldest; an
+/// offset past EOF or off a walked record boundary rewinds to that
+/// segment's first record. `applyReplicatedRecord` is the replica side:
+/// it validates the record like an open-time scan would, declines
+/// duplicates, and appends the *identical bytes* — so a replicated
+/// certificate is byte-for-byte the source's, and a replay (after a
+/// source compaction, say) degrades to duplicate declines, never a
+/// wrong certificate.
 ///
 /// ## Retention
 ///
 /// `RetentionBytes` caps the directory's segment bytes: once exceeded,
 /// whole segments are evicted oldest-first (never the open append
-/// segment) and the journal epoch bumps. Certificates are cache
-/// entries, not ledger rows — an evicted record is simply re-verified.
+/// segment). Certificates are cache entries, not ledger rows — an
+/// evicted record is simply re-verified. A replica whose cursor sits in
+/// a surviving segment is unaffected.
 ///
 /// ## Invalidation story
 ///
@@ -117,7 +125,6 @@
 #define ANTIDOTE_SERVING_DISKCERTSTORE_H
 
 #include "serving/CertificateStore.h"
-#include "serving/StoreJournal.h"
 #include "serving/StoreKey.h"
 
 #include <map>
@@ -125,6 +132,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 namespace antidote {
 
@@ -146,13 +154,11 @@ struct DiskCertStoreOptions {
 
   /// Byte budget for the directory's segment files; 0 = unbounded.
   /// Exceeding it after an append (or found exceeded on open) evicts
-  /// whole segments oldest-first — never the open append segment — and
-  /// bumps the journal epoch so replicas resync rather than miss the
-  /// renumbering.
+  /// whole segments oldest-first — never the open append segment.
   uint64_t RetentionBytes = 0;
 
   /// Open without ever taking the writer flock or mutating the
-  /// directory: no tail repair, no journal reconcile, `store` declines
+  /// directory: no tail repair, `store` declines
   /// (counted), `compact` fails. The directory must already exist. The
   /// mode a pure replica or diagnostic reader uses against a directory
   /// a sibling process owns.
@@ -200,33 +206,25 @@ public:
              unsigned NumFeatures, uint32_t PoisoningBudget,
              const VerifierConfig &Config, const Certificate &Cert) override;
 
-  /// The radius-range probe alone, mirroring `CertCache::rangeLookup`:
-  /// no exact-key consultation and no hit/miss counter changes (though
-  /// a record whose bytes rotted is still dropped on discovery).
-  bool rangeLookup(const DatasetFingerprint &Data, const float *X,
-                   unsigned NumFeatures, uint32_t PoisoningBudget,
-                   const VerifierConfig &Config, Certificate &Out) override;
-
   StoreStats stats() const override;
 
   /// The disk tier *is* the replication endpoint.
   ReplicationEndpoint *replication() override { return this; }
 
-  Delta serveJournalPoll(const PollRequest &Poll) override;
+  Delta serveReplicationPoll(const PollRequest &Poll) override;
   ApplyResult applyReplicatedRecord(const uint8_t *Data,
                                     size_t Size) override;
 
   const std::string &directory() const { return Dir; }
   bool readOnly() const { return Options.ReadOnly; }
 
-  /// Directory-wide rewrite under the exclusive lock: re-scans every
-  /// segment (not just this handle's index — sibling processes may have
-  /// appended records this handle never saw) and copies every intact,
-  /// deduplicated record into one fresh segment, then deletes the old
+  /// Directory-wide rewrite under the exclusive lock: re-lists and
+  /// scans every segment (sibling processes may have appended records
+  /// this handle never saw) and copies every intact, deduplicated
+  /// record into one fresh segment, then deletes the old
   /// files. What gets reclaimed is exactly duplicate records (racing
   /// writers append the same key independently), torn/corrupt records,
-  /// and stale-version segments. The journal epoch bumps and the
-  /// journal is rewritten to list the survivors. Lookups keep answering
+  /// and stale-version segments. Lookups keep answering
   /// throughout from this process; other processes holding an old index
   /// degrade to misses until their next refresh. Returns false (and
   /// fills \p Error) on I/O failure, leaving the old segments in place.
@@ -247,89 +245,86 @@ private:
     uint32_t CertifiedRadius = 0;
   };
 
-  /// Radius-ordered views of the records sharing one budget-agnostic
-  /// base key — the same structure (and registration rule: original
-  /// proofs only, radius == key budget) as the RAM tier's; see
-  /// serving/CertCache.h `RangeSlot`.
-  struct RangeSlot {
-    std::map<uint32_t, const StoreKey *> Robust;
-    std::map<uint32_t, const StoreKey *> Unknown;
+  /// What this handle knows of one readable current-version segment.
+  struct SegmentState {
+    /// Scanned through here: always a record boundary, every record
+    /// before it walked (and indexed, when intact), nothing after it
+    /// read yet.
+    uint64_t End = 0;
+    /// Offsets of every walked record, ascending — the boundaries a
+    /// replication cursor may name.
+    std::vector<uint64_t> Starts;
+  };
+
+  using IndexMap = std::unordered_map<StoreKey, RecordRef, StoreKeyHash>;
+
+  /// What one segment scan found.
+  enum class ScanResult : uint8_t {
+    Live,    ///< A current-version segment; its new records are indexed.
+    Stale,   ///< Wrong magic/version: skipped wholesale.
+    Pending, ///< Shorter than its header (or transiently unreadable).
+    Gone,    ///< Missing, or unlinked under this handle's fd.
   };
 
   DiskCertStore(std::string Dir, const DiskCertStoreOptions &Options)
-      : Dir(std::move(Dir)), Options(Options) {}
+      : Dir(std::move(Dir)), Options(Options) {
+    Stats.Disk = true;
+  }
 
-  /// Scans all segments, builds the index, repairs a torn tail on the
-  /// append segment. \p TotalSegmentBytes accumulates every byte read
-  /// from a segment file, indexed or not — the denominator of the
-  /// auto-compaction dead fraction. Returns false with \p Error on hard
-  /// I/O failure. Callable again after `clearIndexLocked` (the sibling
-  /// epoch-change reload path).
+  /// Scans every segment, builds the index, repairs a torn tail on the
+  /// newest segment, and picks the append segment. \p TotalSegmentBytes
+  /// accumulates every segment file's size, indexed or not — the
+  /// denominator of the auto-compaction dead fraction. Returns false
+  /// with \p Error on hard I/O failure. Caller holds the mutex.
   bool loadLocked(std::string &Error, uint64_t &TotalSegmentBytes);
 
-  /// Drops every in-memory view of the directory (index, range index,
-  /// known segments, cached fds; live-footprint stats zeroed) ahead of
-  /// a full `loadLocked` rescan. Monotonic counters are kept.
-  void clearIndexLocked();
+  /// Walks segment \p Id from its scanned-through offset to EOF and
+  /// indexes the intact records found; a segment not yet known has its
+  /// header checked first. \p FileBytes receives the file's size.
+  /// Caller holds the mutex.
+  ScanResult scanSegmentLocked(uint32_t Id, uint64_t &FileBytes);
 
-  /// Reconciles the journal with the freshly built index: repairs /
-  /// rebuilds an unusable journal under a bumped epoch and appends
-  /// entries for indexed records a crash separated from their journal
-  /// line. Writable stores only; caller holds the mutex and the flock.
-  void reconcileJournalLocked();
+  /// Absorbs sibling writes: growth of the newest known segment, newer
+  /// segments a sibling rotated to, and (by re-listing) a vanished
+  /// newest segment. True when the index or the segment set changed.
+  /// Caller holds the mutex; works with or without the flock.
+  bool refreshLocked();
 
-  /// The lookup-miss staleness check: one journal-header `pread`; if a
-  /// sibling moved the generation, refreshes the index (incrementally
-  /// for same-epoch growth, by full rescan across an epoch change) and
-  /// returns true so the caller retries its probe. Caller holds the
-  /// mutex.
-  bool maybeRefreshIndexLocked();
+  /// Lists the directory into \p Ids, forgets segments that left it,
+  /// and scans the known and the new ones. Caller holds the mutex.
+  bool relistLocked(std::vector<uint32_t> &Ids, std::string &Error);
 
-  /// Brings the journal (and, for same-epoch growth, the index) in line
-  /// with sibling mutations before this process appends its own entry —
-  /// without it two writers would publish colliding generations and
-  /// overwrite each other's journal lines. An epoch change cannot be
-  /// absorbed here (the full rescan re-enters the flock, which does not
-  /// nest), so it sets `PendingFullReload` for the next lookup miss.
-  /// Caller holds the mutex *and* the flock.
-  void syncJournalWithDiskLocked();
+  /// Drops segment \p Id and every index entry in it; returns how many
+  /// entries went. Caller holds the mutex.
+  uint64_t forgetSegmentLocked(uint32_t Id);
 
-  /// Indexes one journaled record (reading and re-validating its bytes);
-  /// silently skips entries whose records vanished or rotted. Caller
+  /// Indexes one intact record at \p Offset of \p Segment. False (and
+  /// counted as a duplicate) when the key is already indexed. Caller
   /// holds the mutex.
-  void ingestJournalEntryLocked(const StoreJournal::Entry &E);
-
-  /// The epoch a record-removing rewrite publishes under: one past the
-  /// max of our cached epoch and whatever the on-disk header says, so
-  /// epochs stay monotone across sibling writers. Caller holds the
-  /// mutex.
-  uint64_t nextEpochLocked() const;
+  bool indexRecordLocked(StoreKey &&Key, const Certificate &Cert,
+                         uint32_t Segment, uint64_t Offset,
+                         size_t RecordBytes, uint64_t Checksum);
 
   /// Enforces `RetentionBytes` by evicting whole segments oldest-first;
   /// never touches the open append segment. Needs the flock (its own,
   /// non-blocking — a contended budget check just waits for the next
-  /// append). Bumps the journal epoch when anything was evicted. Caller
-  /// holds the mutex.
+  /// append). Caller holds the mutex.
   void applyRetentionLocked();
-
-  /// Journal entries for every indexed record, in (segment, offset)
-  /// order — the survivor list a `reset` publishes after compaction or
-  /// retention. Caller holds the mutex.
-  std::vector<StoreJournal::Entry> journalEntriesFromIndexLocked() const;
 
   std::string segmentPath(uint32_t Segment) const;
 
   /// Read fd for \p Segment, opened on demand and cached. -1 on failure.
   int readFdLocked(uint32_t Segment);
 
-  /// Appends one serialized record under the cross-process exclusive
-  /// lock and journals it; fills \p Ref with where it landed. Caller
-  /// holds the mutex.
-  bool appendLocked(const std::vector<uint8_t> &Record, RecordRef &Ref);
+  /// Appends one serialized record (of \p Key and \p Cert) under the
+  /// cross-process exclusive lock, at the end of the newest segment,
+  /// and indexes it. Caller holds the mutex.
+  bool appendLocked(const std::vector<uint8_t> &Record, StoreKey &&Key,
+                    const Certificate &Cert);
 
-  /// How a record read failed, if it did. The distinction matters for
-  /// index hygiene: a transient failure must leave the entry in place
-  /// for a later retry, a permanent one must drop it (or `store` would
+  /// How a read failed, if it did. The distinction matters for index
+  /// hygiene: a transient failure must leave the entry in place for a
+  /// later retry, a permanent one must drop it (or `store` would
   /// forever decline the re-verified certificate as a "duplicate").
   enum class ReadStatus : uint8_t {
     Ok,
@@ -337,34 +332,21 @@ private:
     Gone,      ///< Missing file / short read: permanently unreadable.
   };
 
-  /// Loads one record's payload (checksum verified by the caller).
-  /// Caller holds the mutex.
-  ReadStatus readPayloadLocked(const RecordRef &Ref,
-                               std::vector<uint8_t> &Out);
-
-  /// Loads one *whole* record (header included) as a journal entry
-  /// names it, verifying the record header and payload checksum against
-  /// the entry — the poll-serving read. False on any mismatch. Caller
-  /// holds the mutex.
-  bool readRecordLocked(const StoreJournal::Entry &E,
-                        std::vector<uint8_t> &Out);
+  /// Fills all of \p Out from \p Segment at \p Offset. Caller holds
+  /// the mutex.
+  ReadStatus readBytesLocked(uint32_t Segment, uint64_t Offset,
+                             std::vector<uint8_t> &Out);
 
   void closeFdsLocked();
 
-  /// Range-index maintenance for one index entry (\p K must point into
-  /// `Index`); callers hold the mutex.
-  void registerRangeLocked(const StoreKey &K, const RecordRef &Ref);
-  void unregisterRangeLocked(const StoreKey &K, const RecordRef &Ref);
+  /// Erases one index entry (stats + range index); returns the next.
+  /// Caller holds the mutex.
+  IndexMap::iterator eraseEntryLocked(IndexMap::iterator It);
 
-  /// Drops a permanently unreadable index entry (stats + range index);
-  /// caller holds the mutex. \p It must be valid.
-  void dropDeadEntryLocked(
-      std::unordered_map<StoreKey, RecordRef, StoreKeyHash>::iterator It);
-
-  /// The shared exact-miss range probe + payload load behind `lookup`
-  /// and `rangeLookup`; caller holds the mutex.
+  /// The exact probe, then the range probe, then the payload load
+  /// behind `lookup`; caller holds the mutex.
   bool lookupLocked(const StoreKey &K, uint32_t PoisoningBudget,
-                    bool RangeOnly, Certificate &Out);
+                    Certificate &Out);
 
   const std::string Dir;
   const DiskCertStoreOptions Options;
@@ -373,19 +355,16 @@ private:
   int LockFd = -1;   ///< `LOCK` file; flock target (-1 when ReadOnly).
   int AppendFd = -1; ///< Current append segment, O_APPEND.
   uint32_t AppendSegment = 0;
-  std::unordered_map<StoreKey, RecordRef, StoreKeyHash> Index;
-  /// Base key (budget zeroed) -> radius-sorted record views; kept in
-  /// lockstep with `Index` by load/store/compact and dead-entry drops.
-  std::unordered_map<StoreKey, RangeSlot, StoreKeyHash> RangeIndex;
+  IndexMap Index;
+  /// Radius views of `Index`'s original proofs; kept in lockstep with
+  /// `Index` by every insert and drop.
+  RadiusIndex Ranges;
   std::unordered_map<uint32_t, int> ReadFds;
-  std::vector<uint32_t> KnownSegments; ///< Readable, ascending.
-  /// On-disk bytes per known segment (headers included) — the retention
-  /// accounting, maintained by load/append/compact/evict.
-  std::map<uint32_t, uint64_t> SegmentBytes;
-  StoreJournal Journal;
-  /// Set when a flock-held path noticed a sibling epoch change it could
-  /// not absorb in place; the next lookup miss performs the full rescan.
-  bool PendingFullReload = false;
+  /// Readable current-version segments, by id.
+  std::map<uint32_t, SegmentState> Segments;
+  /// Highest segment id seen in the directory, readable or not; the
+  /// refresh probes the id after it for a sibling rotation.
+  uint32_t NewestId = 0;
   StoreStats Stats;
 };
 

@@ -248,31 +248,31 @@ antidote::decodeResponsePayload(const uint8_t *Data, size_t Size) {
   return Response;
 }
 
-std::string
-antidote::encodeJournalPollFrame(const ReplicationEndpoint::PollRequest &Poll) {
+std::string antidote::encodeReplicationPollFrame(
+    const ReplicationEndpoint::PollRequest &Poll) {
   std::string Payload;
   Writer W(Payload);
-  W.u64(Poll.Epoch);
-  W.u64(Poll.Serial);
+  W.u32(Poll.Segment);
+  W.u64(Poll.Offset);
   W.u64(Poll.ScopeHi);
   W.u64(Poll.ScopeLo);
   W.u32(Poll.MaxRecords);
 
   std::string Frame;
-  writeHeader(Frame, NetJournalPollMagic,
+  writeHeader(Frame, NetReplicationPollMagic,
               static_cast<uint32_t>(Payload.size()));
   Frame += Payload;
   return Frame;
 }
 
-std::string
-antidote::encodeJournalDeltaFrame(const ReplicationEndpoint::Delta &Delta) {
+std::string antidote::encodeReplicationDeltaFrame(
+    const ReplicationEndpoint::Delta &Delta) {
   std::string Payload;
   Writer W(Payload);
   W.u8(static_cast<uint8_t>(Delta.Status));
-  W.u64(Delta.Epoch);
-  W.u64(Delta.NextSerial);
-  W.u64(Delta.HeadSerial);
+  W.u32(Delta.Segment);
+  W.u64(Delta.Offset);
+  W.u8(Delta.AtHead ? 1 : 0);
   W.u32(static_cast<uint32_t>(Delta.Records.size()));
   for (const std::vector<uint8_t> &Record : Delta.Records) {
     W.u32(static_cast<uint32_t>(Record.size()));
@@ -281,18 +281,18 @@ antidote::encodeJournalDeltaFrame(const ReplicationEndpoint::Delta &Delta) {
   }
 
   std::string Frame;
-  writeHeader(Frame, NetJournalDeltaMagic,
+  writeHeader(Frame, NetReplicationDeltaMagic,
               static_cast<uint32_t>(Payload.size()));
   Frame += Payload;
   return Frame;
 }
 
 std::optional<ReplicationEndpoint::PollRequest>
-antidote::decodeJournalPollPayload(const uint8_t *Data, size_t Size) {
+antidote::decodeReplicationPollPayload(const uint8_t *Data, size_t Size) {
   Reader R(Data, Size);
   ReplicationEndpoint::PollRequest Poll;
-  Poll.Epoch = R.u64();
-  Poll.Serial = R.u64();
+  Poll.Segment = R.u32();
+  Poll.Offset = R.u64();
   Poll.ScopeHi = R.u64();
   Poll.ScopeLo = R.u64();
   Poll.MaxRecords = R.u32();
@@ -302,19 +302,20 @@ antidote::decodeJournalPollPayload(const uint8_t *Data, size_t Size) {
 }
 
 std::optional<ReplicationEndpoint::Delta>
-antidote::decodeJournalDeltaPayload(const uint8_t *Data, size_t Size) {
+antidote::decodeReplicationDeltaPayload(const uint8_t *Data, size_t Size) {
   Reader R(Data, Size);
   ReplicationEndpoint::Delta Delta;
   uint8_t Status = R.u8();
-  Delta.Epoch = R.u64();
-  Delta.NextSerial = R.u64();
-  Delta.HeadSerial = R.u64();
+  Delta.Segment = R.u32();
+  Delta.Offset = R.u64();
+  uint8_t AtHead = R.u8();
   uint32_t NumRecords = R.u32();
-  if (!R.ok() ||
+  if (!R.ok() || AtHead > 1 ||
       Status > static_cast<uint8_t>(
                    ReplicationEndpoint::PollStatus::Unavailable))
     return std::nullopt;
   Delta.Status = static_cast<ReplicationEndpoint::PollStatus>(Status);
+  Delta.AtHead = AtHead != 0;
   Delta.Records.reserve(std::min<uint32_t>(NumRecords, 4096));
   for (uint32_t I = 0; I < NumRecords; ++I) {
     uint32_t Bytes = R.u32();

@@ -65,23 +65,24 @@
 /// ## Replication frames
 ///
 /// The same server socket multiplexes the pull-based store replication
-/// protocol (serving/Replicator.h): a replica sends `JournalPoll` frames
-/// (magic "ANTJ") carrying its (epoch, serial) cursor plus an optional
-/// dataset-fingerprint scope, and the source answers with a
-/// `JournalDelta` frame (magic "ANTD") — either the next batch of whole
-/// serialized store records (bytes exactly as they sit in the source's
-/// segments), or an `EpochReset` status telling the replica its epoch
-/// is gone and it must restart from serial 0. The server tells query
-/// frames from poll frames by magic alone (the dual-magic `FrameReader`
-/// below), so one listen port serves both clients and replicas.
+/// protocol (serving/Replicator.h): a replica sends `ReplicationPoll`
+/// frames (magic "ANTP") carrying its (segment, offset) cursor into the
+/// source's segments plus an optional dataset-fingerprint scope, and the
+/// source answers with a `ReplicationDelta` frame (magic "ANTD"): the
+/// next batch of whole serialized store records (bytes exactly as they
+/// sit in the source's segments), the cursor after them, and whether
+/// that cursor is at the head of the newest segment. The server tells
+/// query frames from poll frames by magic alone (the dual-magic
+/// `FrameReader` below), so one listen port serves both clients and
+/// replicas.
 ///
-///   JournalPoll payload:   u64 epoch, u64 serial, u64 scopeHi,
-///                          u64 scopeLo (both 0 = unscoped), u32
-///                          maxRecords
-///   JournalDelta payload:  u8 status (0 delta, 1 epoch-reset,
-///                          2 unavailable), u64 epoch, u64 nextSerial,
-///                          u64 headSerial, u32 numRecords, then per
-///                          record u32 byteCount + the raw record
+///   ReplicationPoll payload:   u32 segment, u64 offset, u64 scopeHi,
+///                              u64 scopeLo (both 0 = unscoped), u32
+///                              maxRecords
+///   ReplicationDelta payload:  u8 status (0 delta, 1 unavailable),
+///                              u32 segment, u64 offset, u8 atHead,
+///                              u32 numRecords, then per record u32
+///                              byteCount + the raw record
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,9 +102,9 @@ namespace antidote {
 /// Wire magics, little-endian ("ANTQ"/"ANTR" as bytes on the wire).
 constexpr uint32_t NetRequestMagic = 0x51544E41;  // 'A','N','T','Q'
 constexpr uint32_t NetResponseMagic = 0x52544E41; // 'A','N','T','R'
-/// Replication magics ("ANTJ" journal poll, "ANTD" journal delta).
-constexpr uint32_t NetJournalPollMagic = 0x4A544E41;  // 'A','N','T','J'
-constexpr uint32_t NetJournalDeltaMagic = 0x44544E41; // 'A','N','T','D'
+/// Replication magics ("ANTP" poll, "ANTD" delta).
+constexpr uint32_t NetReplicationPollMagic = 0x50544E41;  // 'A','N','T','P'
+constexpr uint32_t NetReplicationDeltaMagic = 0x44544E41; // 'A','N','T','D'
 
 /// Frames larger than this are a protocol violation (a frame holds one
 /// query or one certificate; megabytes mean a desynced or hostile
@@ -174,12 +175,14 @@ std::optional<NetResponse> decodeResponsePayload(const uint8_t *Data,
 
 /// Replication frames: the wire twins of `ReplicationEndpoint`'s
 /// `PollRequest` and `Delta` (serving/CertificateStore.h).
-std::string encodeJournalPollFrame(const ReplicationEndpoint::PollRequest &Poll);
-std::string encodeJournalDeltaFrame(const ReplicationEndpoint::Delta &Delta);
+std::string
+encodeReplicationPollFrame(const ReplicationEndpoint::PollRequest &Poll);
+std::string
+encodeReplicationDeltaFrame(const ReplicationEndpoint::Delta &Delta);
 std::optional<ReplicationEndpoint::PollRequest>
-decodeJournalPollPayload(const uint8_t *Data, size_t Size);
+decodeReplicationPollPayload(const uint8_t *Data, size_t Size);
 std::optional<ReplicationEndpoint::Delta>
-decodeJournalDeltaPayload(const uint8_t *Data, size_t Size);
+decodeReplicationDeltaPayload(const uint8_t *Data, size_t Size);
 
 /// Incremental frame reassembler for one connection/direction. Feed it
 /// whatever recv returned — single bytes, half frames, three frames at
@@ -196,8 +199,8 @@ public:
 
   /// Dual-magic reader for multiplexed streams: either magic is
   /// accepted, and `nextFrame` reports which one each frame carried —
-  /// how the server tells a query ("ANTQ") from a journal poll
-  /// ("ANTJ") on the same connection.
+  /// how the server tells a query ("ANTQ") from a replication poll
+  /// ("ANTP") on the same connection.
   FrameReader(uint32_t MagicA, uint32_t MagicB, uint32_t MaxFrameBytes)
       : Magic1(MagicA), Magic2(MagicB),
         MaxBytes(MaxFrameBytes ? MaxFrameBytes : NetMaxFrameBytes) {}

@@ -60,7 +60,7 @@ NetServerStats NetServer::stats() const {
   S.ShedPaced = NumShedPaced.load(std::memory_order_relaxed);
   S.BadArity = NumBadArity.load(std::memory_order_relaxed);
   S.Cancelled = NumCancelled.load(std::memory_order_relaxed);
-  S.JournalPolls = NumJournalPolls.load(std::memory_order_relaxed);
+  S.ReplicationPolls = NumReplicationPolls.load(std::memory_order_relaxed);
   return S;
 }
 
@@ -174,15 +174,15 @@ void NetServer::readable(uint64_t ConnId) {
     return;
   }
   while (std::optional<FrameReader::Frame> Frame = C.In.nextFrame()) {
-    if (Frame->Magic == NetJournalPollMagic) {
+    if (Frame->Magic == NetReplicationPollMagic) {
       std::optional<ReplicationEndpoint::PollRequest> Poll =
-          decodeJournalPollPayload(Frame->Payload.data(),
-                                   Frame->Payload.size());
+          decodeReplicationPollPayload(Frame->Payload.data(),
+                                       Frame->Payload.size());
       if (!Poll) {
         closeConn(ConnId, /*Framing=*/true);
         return;
       }
-      handleJournalPoll(C, *Poll);
+      handleReplicationPoll(C, *Poll);
     } else {
       std::optional<NetRequest> Request =
           decodeRequestPayload(Frame->Payload.data(), Frame->Payload.size());
@@ -284,9 +284,9 @@ void NetServer::handleRequest(uint64_t ConnId, Conn &C,
   ++OutstandingTickets;
 }
 
-void NetServer::handleJournalPoll(
+void NetServer::handleReplicationPoll(
     Conn &C, const ReplicationEndpoint::PollRequest &Poll) {
-  NumJournalPolls.fetch_add(1, std::memory_order_relaxed);
+  NumReplicationPolls.fetch_add(1, std::memory_order_relaxed);
   // Unavailable is the honest default: no store, or a store (a RAM
   // cache, say) with no replication face. The replica treats it like a
   // transient error and keeps polling.
@@ -294,8 +294,8 @@ void NetServer::handleJournalPoll(
   CertificateStore *Store = Server.store();
   ReplicationEndpoint *Endpoint = Store ? Store->replication() : nullptr;
   if (Endpoint)
-    Delta = Endpoint->serveJournalPoll(Poll);
-  C.Out += encodeJournalDeltaFrame(Delta);
+    Delta = Endpoint->serveReplicationPoll(Poll);
+  C.Out += encodeReplicationDeltaFrame(Delta);
 }
 
 void NetServer::drainCompletions() {

@@ -119,7 +119,7 @@ struct NetServerStats {
   uint64_t ShedPaced = 0;      ///< Shed frames: client bucket empty.
   uint64_t BadArity = 0;       ///< Error frames: feature-count mismatch.
   uint64_t Cancelled = 0;      ///< Tickets cancelled for disconnects.
-  uint64_t JournalPolls = 0;   ///< Replication polls answered.
+  uint64_t ReplicationPolls = 0; ///< Replication polls answered.
 };
 
 /// The epoll front end. Construct, `start()`, read `port()`, serve until
@@ -164,12 +164,12 @@ private:
     std::unordered_multimap<uint64_t, uint64_t> Pending;
 
     /// Dual-magic reader: one connection may interleave query frames
-    /// ("ANTQ") and replication polls ("ANTJ") — the loop dispatches by
+    /// ("ANTQ") and replication polls ("ANTP") — the loop dispatches by
     /// each frame's magic.
     explicit Conn(FdHandle Fd, uint32_t MaxFrameBytes, double Burst,
                   std::chrono::steady_clock::time_point Now)
         : Fd(std::move(Fd)),
-          In(NetRequestMagic, NetJournalPollMagic, MaxFrameBytes),
+          In(NetRequestMagic, NetReplicationPollMagic, MaxFrameBytes),
           Tokens(Burst), LastRefill(Now) {}
   };
 
@@ -188,11 +188,11 @@ private:
   void handleRequest(uint64_t ConnId, Conn &C, const NetRequest &Request);
 
   /// Answers one replication poll synchronously from the server's
-  /// store endpoint (a journal read plus at most a batch of record
-  /// preads — no verification, so it cannot starve the queue). A store
-  /// without a replication face answers `Unavailable`.
-  void handleJournalPoll(Conn &C,
-                         const ReplicationEndpoint::PollRequest &Poll);
+  /// store endpoint (at most a batch of record preads — no
+  /// verification, so it cannot starve the queue). A store without a
+  /// replication face answers `Unavailable`.
+  void handleReplicationPoll(Conn &C,
+                             const ReplicationEndpoint::PollRequest &Poll);
   void drainCompletions();
   void sendResponse(Conn &C, const NetResponse &Response);
   void flushOut(uint64_t ConnId, Conn &C);
@@ -219,7 +219,7 @@ private:
   /// Counters (relaxed atomics: written by the loop, read by anyone).
   std::atomic<uint64_t> NumAccepted{0}, NumRefused{0}, NumFraming{0},
       NumRequests{0}, NumVerified{0}, NumProbeHits{0}, NumShedOverload{0},
-      NumShedPaced{0}, NumBadArity{0}, NumCancelled{0}, NumJournalPolls{0};
+      NumShedPaced{0}, NumBadArity{0}, NumCancelled{0}, NumReplicationPolls{0};
 
   static constexpr uint64_t ListenCookie = 0;
   static constexpr uint64_t WakeCookie = 1;

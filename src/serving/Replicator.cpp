@@ -61,16 +61,6 @@ ReplicatorStats Replicator::stats() const {
   return Stats;
 }
 
-uint64_t Replicator::cursorEpoch() const {
-  std::lock_guard<std::mutex> Guard(Mutex);
-  return Epoch;
-}
-
-uint64_t Replicator::cursorSerial() const {
-  std::lock_guard<std::mutex> Guard(Mutex);
-  return Serial;
-}
-
 void Replicator::loop() {
   for (;;) {
     bool More = false;
@@ -125,12 +115,12 @@ bool Replicator::pollOnce(bool &More, std::string &Error) {
   }
 
   ReplicationEndpoint::PollRequest Poll;
-  Poll.Epoch = Epoch;
-  Poll.Serial = Serial;
+  Poll.Segment = Segment;
+  Poll.Offset = Offset;
   Poll.ScopeHi = Config.ScopeHi;
   Poll.ScopeLo = Config.ScopeLo;
   Poll.MaxRecords = Config.MaxRecords;
-  std::string Frame = encodeJournalPollFrame(Poll);
+  std::string Frame = encodeReplicationPollFrame(Poll);
   size_t Sent = 0;
   while (Sent < Frame.size()) {
     ssize_t N = ::send(Sock.get(), Frame.data() + Sent, Frame.size() - Sent,
@@ -144,7 +134,7 @@ bool Replicator::pollOnce(bool &More, std::string &Error) {
 
   // Block until the one response frame is whole. Delta frames carry a
   // record batch, hence the wider bound.
-  FrameReader In(NetJournalDeltaMagic, NetMaxDeltaFrameBytes);
+  FrameReader In(NetReplicationDeltaMagic, NetMaxDeltaFrameBytes);
   std::optional<std::vector<uint8_t>> Payload;
   while (!Payload) {
     uint8_t Buf[16384];
@@ -163,33 +153,20 @@ bool Replicator::pollOnce(bool &More, std::string &Error) {
     Payload = In.next();
   }
   std::optional<ReplicationEndpoint::Delta> Delta =
-      decodeJournalDeltaPayload(Payload->data(), Payload->size());
+      decodeReplicationDeltaPayload(Payload->data(), Payload->size());
   if (!Delta)
     return Fail("undecodable delta frame");
   ++Stats.Polls;
 
-  switch (Delta->Status) {
-  case ReplicationEndpoint::PollStatus::Unavailable:
-    // The source has no journal (yet). Not an error; poll again later.
+  if (Delta->Status == ReplicationEndpoint::PollStatus::Unavailable)
+    // The source has no replicable store. Not an error; poll again
+    // later.
     return true;
-  case ReplicationEndpoint::PollStatus::EpochReset:
-    // Our epoch is gone (compaction/retention rewrote the journal, or
-    // this is the first poll ever): restart from serial 0 of the
-    // source's current epoch. Replayed records are declined as
-    // duplicates, so the resync is idempotent.
-    Epoch = Delta->Epoch;
-    Serial = 0;
-    ++Stats.EpochResets;
-    More = true;
-    return true;
-  case ReplicationEndpoint::PollStatus::Delta:
-    break;
-  }
 
   for (const std::vector<uint8_t> &Record : Delta->Records) {
     // The normal append path: full validation, duplicate decline. A
-    // corrupt record is counted and skipped — its serial still
-    // advances, matching the source's serving rule.
+    // corrupt record is counted and skipped — the cursor still moves
+    // past it, matching the source's serving rule.
     switch (Endpoint->applyReplicatedRecord(Record.data(), Record.size())) {
     case ReplicationEndpoint::ApplyResult::Applied:
       ++Stats.Applied;
@@ -208,8 +185,8 @@ bool Replicator::pollOnce(bool &More, std::string &Error) {
       return false;
     }
   }
-  Epoch = Delta->Epoch;
-  Serial = Delta->NextSerial;
-  More = Delta->NextSerial < Delta->HeadSerial;
+  Segment = Delta->Segment;
+  Offset = Delta->Offset;
+  More = !Delta->AtHead;
   return true;
 }

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The replica side of certificate-store replication: a background
-/// puller that periodically sends `JournalPoll` frames to a source
+/// puller that periodically sends `ReplicationPoll` frames to a source
 /// `NetServer` (serving/NetProtocol.h) and applies the returned record
 /// batches to the local store through
 /// `ReplicationEndpoint::applyReplicatedRecord` — the normal
@@ -17,12 +17,12 @@
 /// Verdicts are immutable once issued (the store key pins the dataset
 /// fingerprint and every result-relevant config field), which makes
 /// replication pure data-plane motion: there is no conflict to resolve,
-/// only records to copy. The replica keeps an `(epoch, serial)` cursor;
-/// the source answers with the records after it, or with `EpochReset`
-/// when a compaction/retention rewrite retired the replica's epoch — the
-/// cursor rewinds to serial 0 and the full resync's replays are absorbed
-/// by the duplicate decline. Catch-up is greedy: while the source
-/// reports more records behind the head, the puller polls again
+/// only records to copy. The replica keeps a (segment, offset) cursor
+/// into the source's segments; the source answers with the records after
+/// it. When a compaction deletes the cursor's segment, the source
+/// resumes at the next live one, and the replays are absorbed by the
+/// duplicate decline. Catch-up is greedy: until the source reports the
+/// cursor at the head of its newest segment, the puller polls again
 /// immediately instead of sleeping out the interval.
 ///
 /// Failure policy: every network or framing error closes the connection,
@@ -69,12 +69,11 @@ struct ReplicatorConfig {
 /// Monotonic counters; the CLI prints them as the `repl:` line the CI
 /// smoke greps.
 struct ReplicatorStats {
-  uint64_t Polls = 0;       ///< Poll round-trips completed.
-  uint64_t Applied = 0;     ///< Records appended locally.
-  uint64_t Duplicates = 0;  ///< Records declined as already present.
-  uint64_t Corrupt = 0;     ///< Records rejected by validation.
-  uint64_t EpochResets = 0; ///< Full resyncs the source demanded.
-  uint64_t Errors = 0;      ///< Connection/framing/apply failures.
+  uint64_t Polls = 0;      ///< Poll round-trips completed.
+  uint64_t Applied = 0;    ///< Records appended locally.
+  uint64_t Duplicates = 0; ///< Records declined as already present.
+  uint64_t Corrupt = 0;    ///< Records rejected by validation.
+  uint64_t Errors = 0;     ///< Connection/framing/apply failures.
 };
 
 /// One replication puller for one local store. Thread-safe: `stats()`
@@ -102,16 +101,12 @@ public:
 
   /// One synchronous poll round-trip (test and CLI hook; do not mix
   /// with a running `start` thread). \p More is set when the source
-  /// reported records still behind the head, i.e. the caller should
+  /// reported the cursor short of its head, i.e. the caller should
   /// poll again immediately to finish catching up. False on any
   /// connection/framing error (counted, connection closed).
   bool pollOnce(bool &More, std::string &Error);
 
   ReplicatorStats stats() const;
-
-  /// The replica's current cursor (tests pin the epoch handshake).
-  uint64_t cursorEpoch() const;
-  uint64_t cursorSerial() const;
 
 private:
   void loop();
@@ -125,8 +120,8 @@ private:
 
   mutable std::mutex Mutex; ///< Guards everything below.
   FdHandle Sock;
-  uint64_t Epoch = 0;  ///< Cursor: last seen source epoch.
-  uint64_t Serial = 0; ///< Cursor: last applied serial within it.
+  uint32_t Segment = 0; ///< Cursor: source segment id...
+  uint64_t Offset = 0;  ///< ...and the record boundary within it.
   ReplicatorStats Stats;
   bool Stopping = false;
   std::condition_variable StopChanged;

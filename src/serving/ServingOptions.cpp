@@ -122,7 +122,7 @@ const OptRow Rows[] = {
      }},
     {"--replicate-from", "ANTIDOTE_REPLICATE_FROM", OptKind::HostPort, 0,
      0.0, nullptr, "HOST:PORT", "off",
-     "pull certificates from a source server's journal",
+     "pull certificates from a source server's store",
      [](ServingOptions &O, uint64_t U, double, const char *S) {
        O.ReplicateHost = S;
        O.ReplicatePort = static_cast<uint16_t>(U);

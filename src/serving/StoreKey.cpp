@@ -90,3 +90,44 @@ bool antidote::rangeServes(VerdictKind Kind, uint32_t CertifiedRadius,
   }
   return false;
 }
+
+void RadiusIndex::add(const StoreKey &K, VerdictKind Kind,
+                      uint32_t CertifiedRadius) {
+  if (CertifiedRadius != K.PoisoningBudget)
+    return;
+  Slot &S = Slots[rangeBaseKey(K)];
+  if (Kind == VerdictKind::Robust)
+    S.Robust.emplace(CertifiedRadius, &K);
+  else if (Kind == VerdictKind::Unknown)
+    S.Unknown.emplace(CertifiedRadius, &K);
+}
+
+void RadiusIndex::remove(const StoreKey &K, VerdictKind Kind,
+                         uint32_t CertifiedRadius) {
+  if (CertifiedRadius != K.PoisoningBudget)
+    return;
+  auto It = Slots.find(rangeBaseKey(K));
+  if (It == Slots.end())
+    return;
+  if (Kind == VerdictKind::Robust)
+    It->second.Robust.erase(CertifiedRadius);
+  else if (Kind == VerdictKind::Unknown)
+    It->second.Unknown.erase(CertifiedRadius);
+  if (It->second.Robust.empty() && It->second.Unknown.empty())
+    Slots.erase(It);
+}
+
+const StoreKey *RadiusIndex::find(const StoreKey &K,
+                                  uint32_t PoisoningBudget) const {
+  // Prefer Robust (the informative verdict).
+  auto It = Slots.find(rangeBaseKey(K));
+  if (It == Slots.end())
+    return nullptr;
+  auto Rob = It->second.Robust.lower_bound(PoisoningBudget);
+  if (Rob != It->second.Robust.end())
+    return Rob->second;
+  auto Unk = It->second.Unknown.upper_bound(PoisoningBudget);
+  if (Unk != It->second.Unknown.begin())
+    return std::prev(Unk)->second;
+  return nullptr;
+}

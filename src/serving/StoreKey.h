@@ -41,6 +41,8 @@
 
 #include "antidote/Verifier.h"
 
+#include <map>
+#include <unordered_map>
 #include <vector>
 
 namespace antidote {
@@ -77,10 +79,10 @@ StoreKey makeStoreKey(const DatasetFingerprint &Data, const float *X,
                       const VerifierConfig &Config);
 
 /// The budget-agnostic base of \p K: the same key with
-/// `PoisoningBudget` zeroed. The range indexes in `CertCache` and
-/// `DiskCertStore` group their entries under base keys, so one probe
-/// finds every stored proof radius for the same (dataset, query,
-/// config) and the radius-range rule below picks a serving one.
+/// `PoisoningBudget` zeroed. `RadiusIndex` groups entries under base
+/// keys, so one probe finds every stored proof radius for the same
+/// (dataset, query, config) and the radius-range rule below picks a
+/// serving one.
 StoreKey rangeBaseKey(const StoreKey &K);
 
 /// The radius-range serving rule, shared by both store tiers (and
@@ -107,6 +109,35 @@ StoreKey rangeBaseKey(const StoreKey &K);
 /// the strict cross-radius cases.
 bool rangeServes(VerdictKind Kind, uint32_t CertifiedRadius,
                  uint32_t QueryBudget);
+
+/// The radius-range index both store tiers keep beside their exact-key
+/// maps: per base key, the stored proofs ordered by radius. Only
+/// *original* proofs enter — entries whose `CertifiedRadius` equals
+/// their key's budget — so a radius names at most one entry (a
+/// range-served answer written back under the queried budget would
+/// alias the original's radius and adds no serving power the original
+/// lacks). Registered keys are pointers into the owning store's map,
+/// which must keep them stable (unordered_map nodes never move) and
+/// unregister them before erasing. No locking of its own.
+class RadiusIndex {
+public:
+  void add(const StoreKey &K, VerdictKind Kind, uint32_t CertifiedRadius);
+  void remove(const StoreKey &K, VerdictKind Kind, uint32_t CertifiedRadius);
+
+  /// The entry that serves \p K's base key at \p PoisoningBudget by
+  /// `rangeServes`, or null: the tightest Robust proof at radius >= n,
+  /// else the widest failed attempt at radius <= n.
+  const StoreKey *find(const StoreKey &K, uint32_t PoisoningBudget) const;
+
+  void clear() { Slots.clear(); }
+
+private:
+  struct Slot {
+    std::map<uint32_t, const StoreKey *> Robust;  ///< Serve n <= radius.
+    std::map<uint32_t, const StoreKey *> Unknown; ///< Serve n >= radius.
+  };
+  std::unordered_map<StoreKey, Slot, StoreKeyHash> Slots;
+};
 
 } // namespace antidote
 

@@ -607,11 +607,10 @@ TEST(DiskCertStoreTest, CompactionDropsDuplicatesAndStaleSegments) {
   VerifierConfig Config = makeConfig(AbstractDomainKind::Box);
   const float X[] = {9.5f}, Y[] = {1.5f};
 
-  // Sibling handles no longer race a duplicate in (the journal
-  // generation check refreshes the second handle's index on its miss),
-  // so plant the duplicate at the byte level — exactly what a writer
-  // that crashed between append and journal sync can leave behind: a
-  // valid, checksummed record for a key that is already indexed.
+  // Sibling handles no longer race a duplicate in (the second handle's
+  // lookup miss indexes the first one's appends), so plant the
+  // duplicate at the byte level: a valid, checksummed record for a key
+  // that is already indexed.
   std::unique_ptr<DiskCertStore> A = openOrDie(Dir.path());
   Config.Cache = A.get();
   Certificate Cold = V.verify(X, 1, Config);
@@ -1108,9 +1107,12 @@ TEST(DiskCertStoreTest, RetentionEvictsOldestSegmentsButNeverTheOpenOne) {
   StoreStats Stats = Store->stats();
   EXPECT_GT(Stats.RetentionEvictedSegments, 0u);
   EXPECT_LT(Stats.LiveRecords, Queries.size());
-  // Renumbering retires the old epoch so replicas full-resync instead
-  // of silently skipping the evicted serials.
-  EXPECT_GT(Stats.Epoch, 1u);
+  // Whole segments went: the evicted records are gone from the index
+  // and the files from the directory.
+  EXPECT_EQ(Stats.Evictions, Queries.size() - Stats.LiveRecords);
+  EXPECT_LT(Stats.Segments, Queries.size());
+  struct stat St;
+  EXPECT_NE(::stat(Dir.sub("seg-000001.antcert").c_str(), &St), 0);
 
   // The newest record rode the open append segment, which retention
   // must never touch: it still serves, byte-identical.
@@ -1169,11 +1171,90 @@ TEST(DiskCertStoreTest, ReadOnlyOpenServesBesideALiveWriter) {
   EXPECT_FALSE(Error.empty());
 
   // A record the writer appends after the read-only open is picked up
-  // on the reader's next miss via the journal generation check.
+  // on the reader's next miss: one fstat sees the segment grow.
   const float Y[] = {1.5f};
   Certificate Later = V.verify(Y, /*PoisoningBudget=*/1, Config);
   Certificate Seen;
   ASSERT_TRUE(Reader->lookup(V.fingerprint(), Y, 1, 1, Config, Seen));
   expectIdenticalCertificates(Later, Seen);
   EXPECT_GE(Reader->stats().IndexRefreshes, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Sibling writes reach the index on a lookup miss, without a reopen
+//===----------------------------------------------------------------------===//
+
+TEST(DiskCertStoreTest, SiblingAppendIsAbsorbedOnLookupMissWithoutReopen) {
+  TempStoreDir Dir;
+  Dataset Train = figure2Dataset();
+  Verifier V(Train);
+
+  // Two writable handles share the directory, as two processes would.
+  std::unique_ptr<DiskCertStore> A = openOrDie(Dir.path());
+  std::unique_ptr<DiskCertStore> B = openOrDie(Dir.path());
+
+  VerifierConfig Config = makeConfig(AbstractDomainKind::Box);
+  Config.Cache = A.get();
+  const float X[] = {9.5f};
+  Certificate Stored = V.verify(X, 1, Config);
+
+  // B opened on an empty store; its first consult misses the in-memory
+  // index, finds A's segment, indexes it, and serves A's record
+  // byte-identically — no duplicate verification, no reopen.
+  Config.Cache = B.get();
+  Certificate Served = V.verify(X, 1, Config);
+  expectIdenticalCertificates(Stored, Served);
+  StoreStats Stats = B->stats();
+  EXPECT_EQ(Stats.Hits, 1u);
+  EXPECT_EQ(Stats.Stores, 0u);
+  EXPECT_GE(Stats.IndexRefreshes, 1u);
+
+  // A's next append grows the same segment; B's miss reads just the new
+  // bytes.
+  Config.Cache = A.get();
+  const float Y[] = {1.5f};
+  Certificate Grown = V.verify(Y, 1, Config);
+  Config.Cache = B.get();
+  expectIdenticalCertificates(Grown, V.verify(Y, 1, Config));
+  EXPECT_EQ(B->stats().Hits, 2u);
+  EXPECT_EQ(B->stats().Stores, 0u);
+}
+
+TEST(DiskCertStoreTest, SiblingRotationIsAbsorbedOnLookupMiss) {
+  TempStoreDir Dir;
+  Dataset Train = figure2Dataset();
+  Verifier V(Train);
+
+  // A rotates on every append, so each of its records opens a segment
+  // B has never seen; B's miss must find it by probing the next id.
+  DiskCertStoreOptions Tiny;
+  Tiny.MaxSegmentBytes = 1;
+  std::unique_ptr<DiskCertStore> A = openOrDie(Dir.path(), Tiny);
+  std::unique_ptr<DiskCertStore> B = openOrDie(Dir.path());
+  VerifierConfig Config = makeConfig(AbstractDomainKind::Box);
+
+  std::vector<float> Queries = {1.5f, 9.5f, 12.5f};
+  for (float Q : Queries) {
+    const float X[] = {Q};
+    Config.Cache = A.get();
+    Certificate Stored = V.verify(X, 1, Config);
+    Config.Cache = B.get();
+    expectIdenticalCertificates(Stored, V.verify(X, 1, Config));
+  }
+  EXPECT_EQ(A->stats().Segments, Queries.size());
+  StoreStats Stats = B->stats();
+  EXPECT_EQ(Stats.Hits, Queries.size());
+  EXPECT_EQ(Stats.Stores, 0u);
+  EXPECT_EQ(Stats.Segments, Queries.size());
+  EXPECT_GE(Stats.IndexRefreshes, Queries.size());
+
+  // B's own append goes to the newest segment, behind A's records — the
+  // segments stay one ordered log — and A's miss finds it there.
+  const float Z[] = {4.5f};
+  Config.Cache = B.get();
+  Certificate FromB = V.verify(Z, 1, Config);
+  EXPECT_EQ(B->stats().Segments, Queries.size());
+  Config.Cache = A.get();
+  expectIdenticalCertificates(FromB, V.verify(Z, 1, Config));
+  EXPECT_EQ(A->stats().Stores, Queries.size());
 }

@@ -5,9 +5,12 @@
 //
 // The replication pipeline end to end over a real socket: a replica
 // pulls byte-identical certificates, replays are idempotent, a source
-// compaction forces the epoch-reset full resync, and — the soundness
-// half — a delta corrupted at *every* byte offset is skipped, never
-// applied as a wrong certificate. Torn poll frames (cut at every byte
+// compaction resumes the cursor in the compacted segment (its replays
+// counted as duplicates), retention leaves a cursor in a surviving
+// segment alone, and — the soundness half — a delta corrupted at
+// *every* byte offset is skipped, never applied as a wrong certificate,
+// and a cursor at *every* byte offset either names a record boundary or
+// rewinds to the segment start. Torn poll frames (cut at every byte
 // offset via tests/NetHarness) cost the source one connection, never
 // the process.
 //
@@ -24,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <dirent.h>
 #include <memory>
@@ -91,7 +95,7 @@ void expectIdenticalCertificates(const Certificate &A, const Certificate &B) {
 }
 
 /// The source side of every test: a disk store under a CertServer and a
-/// NetServer, whose listen socket also answers journal polls.
+/// NetServer, whose listen socket also answers replication polls.
 struct SourceStack {
   TempStoreDir Dir;
   Dataset Train = figure2Dataset();
@@ -100,8 +104,8 @@ struct SourceStack {
   std::unique_ptr<CertServer> Server;
   std::unique_ptr<NetServer> Net;
 
-  SourceStack() {
-    Disk = openOrDie(Dir.path());
+  explicit SourceStack(const DiskCertStoreOptions &Options = {}) {
+    Disk = openOrDie(Dir.path(), Options);
     CertServerConfig Config;
     Config.Query = makeConfig();
     Config.Jobs = 1;
@@ -186,7 +190,7 @@ TEST(ReplicatorTest, ReplayedDeltasAreIdempotent) {
     EXPECT_EQ(First.stats().Applied, 2u);
   }
 
-  // A second puller with a fresh cursor replays the whole journal; the
+  // A second puller with a fresh cursor replays every segment; the
   // duplicate-decline path absorbs every record, and the replica's
   // contents do not change.
   uint64_t RecordsBefore = Replica->stats().LiveRecords;
@@ -211,32 +215,61 @@ TEST(ReplicatorTest, CompactionEpochBumpForcesFullResync) {
   Replicator Repl(*Replica, Config);
   catchUp(Repl);
   ASSERT_EQ(Repl.stats().Applied, 2u);
-  uint64_t EpochBefore = Repl.cursorEpoch();
-  // The very first poll (cursor epoch 0) already cost one adoption
-  // reset; the compaction must add exactly one more.
-  uint64_t ResetsBefore = Repl.stats().EpochResets;
 
-  // Compaction renumbers the survivors under a new epoch; a record
-  // appended after it exists only in that epoch.
+  // Compaction rewrites the survivors into a fresh segment and deletes
+  // the one the replica's cursor names; a record appended after it
+  // lands in the fresh segment too.
   std::string Error;
   ASSERT_TRUE(Source.Disk->compact(&Error)) << Error;
   Source.seed(12.5f);
 
-  // The replica's cursor is now in a retired epoch: the source answers
-  // EpochReset, the cursor rewinds to serial 0, and the full resync's
-  // replays are declined as duplicates while the new record applies.
+  // The cursor resumes at the first record of the compacted segment: a
+  // full resync whose replays are declined as duplicates while the new
+  // record applies.
   catchUp(Repl);
   ReplicatorStats Stats = Repl.stats();
-  EXPECT_EQ(Stats.EpochResets, ResetsBefore + 1);
   EXPECT_EQ(Stats.Applied, 3u);
   EXPECT_EQ(Stats.Duplicates, 2u);
-  EXPECT_GT(Repl.cursorEpoch(), EpochBefore);
+  EXPECT_EQ(Stats.Corrupt, 0u);
   EXPECT_EQ(Replica->stats().LiveRecords, 3u);
 
   const float X[] = {12.5f};
   Certificate Out;
   VerifierConfig Probe = makeConfig();
   EXPECT_TRUE(Replica->lookup(Source.V.fingerprint(), X, 1, 1, Probe, Out));
+}
+
+TEST(ReplicatorTest, RetentionLeavesACursorInASurvivingSegmentAlone) {
+  // One record per segment (a record plus the segment header is ~152
+  // bytes), room for two segments in the byte budget.
+  DiskCertStoreOptions Options;
+  Options.MaxSegmentBytes = 160;
+  Options.RetentionBytes = 320;
+  SourceStack Source(Options);
+  Source.seed(1.5f);
+  Source.seed(4.5f);
+
+  TempStoreDir ReplicaDir;
+  std::unique_ptr<DiskCertStore> Replica = openOrDie(ReplicaDir.path());
+  ReplicatorConfig Config;
+  Config.Port = Source.port();
+  Replicator Repl(*Replica, Config);
+  catchUp(Repl);
+  ASSERT_EQ(Repl.stats().Applied, 2u);
+
+  // The third record opens a third segment and pushes the directory
+  // over budget: the oldest segment is evicted. The replica's cursor
+  // sits at the end of the second, which survives.
+  Source.seed(9.5f);
+  ASSERT_EQ(Source.Disk->stats().RetentionEvictedSegments, 1u);
+
+  // Only the new record crosses the wire — nothing is replayed.
+  catchUp(Repl);
+  ReplicatorStats Stats = Repl.stats();
+  EXPECT_EQ(Stats.Applied, 3u);
+  EXPECT_EQ(Stats.Duplicates, 0u);
+  EXPECT_EQ(Stats.Corrupt, 0u);
+  EXPECT_EQ(Replica->stats().LiveRecords, 3u);
 }
 
 TEST(ReplicatorTest, CorruptDeltaRecordsAreSkippedAtEveryByteOffset) {
@@ -248,17 +281,12 @@ TEST(ReplicatorTest, CorruptDeltaRecordsAreSkippedAtEveryByteOffset) {
   SourceStack Source;
   Source.seed(9.5f);
 
-  // Adopt the source's epoch the way a replica would: a cold poll
-  // (epoch 0) earns an EpochReset naming the live epoch, the re-poll
-  // gets the delta.
+  // A fresh cursor starts at the oldest segment's first record.
   ReplicationEndpoint::PollRequest Poll;
   ReplicationEndpoint::Delta Delta =
-      Source.Disk->replication()->serveJournalPoll(Poll);
-  ASSERT_EQ(Delta.Status, ReplicationEndpoint::PollStatus::EpochReset);
-  Poll.Epoch = Delta.Epoch;
-  Poll.Serial = 0;
-  Delta = Source.Disk->replication()->serveJournalPoll(Poll);
+      Source.Disk->replication()->serveReplicationPoll(Poll);
   ASSERT_EQ(Delta.Status, ReplicationEndpoint::PollStatus::Delta);
+  ASSERT_TRUE(Delta.AtHead);
   ASSERT_EQ(Delta.Records.size(), 1u);
   const std::vector<uint8_t> &Record = Delta.Records[0];
 
@@ -289,12 +317,58 @@ TEST(ReplicatorTest, CorruptDeltaRecordsAreSkippedAtEveryByteOffset) {
   EXPECT_EQ(Replica->stats().LiveRecords, 1u);
 }
 
+TEST(ReplicatorTest, CursorOffARecordBoundaryRewindsToTheSegmentStart) {
+  // A cursor names a record boundary the source handed out; anything
+  // else — past EOF, mid-header, mid-payload, a segment that never
+  // existed — must restart at a segment's first record, never parse
+  // from a byte a record walk did not reach. Try every byte offset of
+  // the segment and a few past its end.
+  SourceStack Source;
+  for (float Q : {1.5f, 9.5f, 12.5f})
+    Source.seed(Q);
+  ReplicationEndpoint *Endpoint = Source.Disk->replication();
+  ReplicationEndpoint::PollRequest Poll;
+  ReplicationEndpoint::Delta All = Endpoint->serveReplicationPoll(Poll);
+  ASSERT_EQ(All.Records.size(), 3u);
+  ASSERT_TRUE(All.AtHead);
+  // The segment is its 8-byte header plus these records, back to back.
+  std::vector<uint64_t> Boundaries = {8};
+  for (const std::vector<uint8_t> &Record : All.Records)
+    Boundaries.push_back(Boundaries.back() + Record.size());
+  ASSERT_EQ(All.Offset, Boundaries.back());
+
+  for (uint64_t Offset = 0; Offset < Boundaries.back() + 64; ++Offset) {
+    Poll.Segment = All.Segment;
+    Poll.Offset = Offset;
+    ReplicationEndpoint::Delta D = Endpoint->serveReplicationPoll(Poll);
+    ASSERT_EQ(D.Status, ReplicationEndpoint::PollStatus::Delta);
+    EXPECT_TRUE(D.AtHead) << "offset " << Offset;
+    EXPECT_EQ(D.Segment, All.Segment);
+    EXPECT_EQ(D.Offset, Boundaries.back());
+    // On a boundary: exactly the records after it. Off one: all of
+    // them, from the segment start — byte-identical either way.
+    size_t First = 0;
+    auto B = std::find(Boundaries.begin(), Boundaries.end(), Offset);
+    if (B != Boundaries.end())
+      First = static_cast<size_t>(B - Boundaries.begin());
+    std::vector<std::vector<uint8_t>> Expected(All.Records.begin() + First,
+                                               All.Records.end());
+    EXPECT_EQ(D.Records, Expected) << "offset " << Offset;
+  }
+
+  // A segment id the source never had, past every live one: resume at
+  // the oldest.
+  Poll.Segment = All.Segment + 7;
+  Poll.Offset = Boundaries[1];
+  EXPECT_EQ(Endpoint->serveReplicationPoll(Poll).Records, All.Records);
+}
+
 TEST(ReplicatorTest, TornPollFramesCostOneConnectionNeverTheSource) {
   SourceStack Source;
   Source.seed(9.5f);
 
   ReplicationEndpoint::PollRequest Poll;
-  std::string Frame = encodeJournalPollFrame(Poll);
+  std::string Frame = encodeReplicationPollFrame(Poll);
 
   // Every proper prefix of a poll frame, then a hangup: the source must
   // treat each as one lost connection and keep serving.
@@ -325,7 +399,7 @@ TEST(ReplicatorTest, TornPollFramesCostOneConnectionNeverTheSource) {
   Replicator Repl(*Replica, Config);
   catchUp(Repl);
   EXPECT_EQ(Repl.stats().Applied, 1u);
-  EXPECT_GE(Source.Net->stats().JournalPolls, 1u);
+  EXPECT_GE(Source.Net->stats().ReplicationPolls, 1u);
 }
 
 TEST(ReplicatorTest, BackgroundThreadReplicatesAndStopsPromptly) {
@@ -356,7 +430,7 @@ TEST(ReplicatorTest, BackgroundThreadReplicatesAndStopsPromptly) {
 }
 
 TEST(ReplicatorTest, StartRefusesAStoreWithoutAReplicationEndpoint) {
-  // A RAM cache cannot apply raw journal records; wiring a replicator
+  // A RAM cache cannot apply raw segment records; wiring a replicator
   // to one must fail loudly at start, not silently no-op.
   CertCache Ram(/*MaxBytes=*/0);
   ReplicatorConfig Config;

@@ -63,7 +63,7 @@ bool deterministic(VerdictKind Kind) {
 }
 
 /// A throwaway store directory for the replication property (flat:
-/// LOCK + segments + journal).
+/// LOCK + segments).
 class TempStoreDir {
 public:
   TempStoreDir() {
@@ -370,7 +370,7 @@ TEST_P(ServingSoundnessProperty, ReplicaServedRobustImpliesFreshRobust) {
     Verifier V(Train);
 
     // Source node: disk store behind a NetServer whose socket also
-    // answers journal polls.
+    // answers replication polls.
     TempStoreDir SourceDir;
     DiskCertStore::OpenResult SourceOpen =
         DiskCertStore::open(SourceDir.path());
@@ -412,8 +412,8 @@ TEST_P(ServingSoundnessProperty, ReplicaServedRobustImpliesFreshRobust) {
       ASSERT_TRUE(Repl.pollOnce(More, Error)) << Error;
     ASSERT_FALSE(More);
     // Colliding random queries may be range-served on the source (no
-    // new record), so the ground truth is the source's journal, not
-    // the seed count.
+    // new record), so the ground truth is the source's record count,
+    // not the seed count.
     EXPECT_EQ(Repl.stats().Applied, SourceOpen.Store->stats().LiveRecords);
     EXPECT_EQ(Repl.stats().Corrupt, 0u);
 
