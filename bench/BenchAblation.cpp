@@ -3,7 +3,8 @@
 // Part of the Antidote reproduction of "Proving Data-Poisoning Robustness
 // in Decision Trees" (Drews, Albarghouthi, D'Antoni; PLDI 2020).
 //
-// Ablates the three transformer/domain design choices DESIGN.md calls out:
+// Ablates the three transformer/domain design choices docs/ARCHITECTURE.md
+// ("Deviations from the paper") calls out:
 //
 //   (a) cprob#: the optimal extremal-average transformer (footnote 6) vs
 //       the naive interval-division lifting,

@@ -464,64 +464,4 @@ static void BM_DiskStoreHitRate(benchmark::State &State) {
 }
 BENCHMARK(BM_DiskStoreHitRate)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-// The delta-tolerant serving path's value proposition: after a small
-// training-set edit, queries are answered from the *parent* dataset's
-// stored certificates (two hash probes, via the removal-slack rule of
-// data/Fingerprint.h) instead of re-verified from scratch. Arg(0)
-// re-verifies a fixed batch against the edited dataset every iteration
-// (what a delta-blind server must do after any edit invalidates its
-// fingerprint); Arg(1) serves the same batch through the slack rule
-// from a cache the parent seeded at radius n + 1. Only queries the
-// parent proves Robust at the slack radius participate (slack never
-// serves Unknown), so the `delta_hit_rate` counter — the fraction of
-// served answers carrying a parent radius wider than the queried
-// budget — is 1.0 once warm, and the speedup shows single-core.
-static void BM_DeltaHitRate(benchmark::State &State) {
-  bool Warm = State.range(0);
-  VerifierConfig Config;
-  Config.Depth = 2;
-  Config.Domain = AbstractDomainKind::Disjuncts;
-  Config.Limits.TimeoutSeconds = 5.0;
-  const BenchmarkDataset &Bench = mammo();
-
-  // The edited dataset: the parent minus its first training row.
-  Dataset Child = Bench.Split.Train;
-  Child.markLineage();
-  Child.removeRow(0);
-  Verifier ChildVerifier(Child);
-
-  CertCache Cache(/*MaxBytes=*/0);
-  std::vector<const float *> Inputs;
-  {
-    // Seed the parent's entries at the slack radius 1 + 1 and keep the
-    // queries it proves Robust there — the ones the slack rule serves.
-    VerifierConfig SeedConfig = Config;
-    SeedConfig.Cache = &Cache;
-    for (size_t I = 0; I < 8 && I < Bench.VerifyRows.size(); ++I) {
-      const float *X = Bench.Split.Test.row(Bench.VerifyRows[I]);
-      if (mammoVerifier().verify(X, /*PoisoningBudget=*/2, SeedConfig)
-              .Kind == VerdictKind::Robust)
-        Inputs.push_back(X);
-    }
-  }
-  if (Warm) {
-    Config.Cache = &Cache;
-    ChildVerifier.setLineage(
-        lineageSinceMark(mammoVerifier().fingerprint(), Child));
-  }
-  uint64_t Served = 0, SlackServed = 0;
-  for (auto _ : State) {
-    std::vector<Certificate> Certs =
-        ChildVerifier.verifyBatch(Inputs, /*PoisoningBudget=*/1, Config);
-    benchmark::DoNotOptimize(Certs.data());
-    for (const Certificate &Cert : Certs)
-      SlackServed += Cert.CertifiedRadius > Cert.PoisoningBudget;
-    Served += Certs.size();
-  }
-  State.counters["delta_hit_rate"] =
-      Served ? static_cast<double>(SlackServed) / static_cast<double>(Served)
-             : 0.0;
-}
-BENCHMARK(BM_DeltaHitRate)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
-
 BENCHMARK_MAIN();

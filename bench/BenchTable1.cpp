@@ -6,8 +6,8 @@
 // Regenerates the paper's Table 1: per-dataset sizes, feature/class
 // structure, and DTrace test-set accuracy at tree depths 1-4. Paper values
 // are printed alongside for comparison; dataset provenance differs (our
-// synthetic equivalents, DESIGN.md §3), so the comparison is about bands,
-// not digits.
+// synthetic equivalents; docs/ARCHITECTURE.md, "Deviations from the
+// paper"), so the comparison is about bands, not digits.
 //
 //===----------------------------------------------------------------------===//
 
@@ -78,7 +78,8 @@ int main() {
   Table.print();
   std::printf("\nnotes:\n");
   std::printf("  - datasets are synthetic stand-ins with the published "
-              "shapes (DESIGN.md §3)\n");
+              "shapes\n    (docs/ARCHITECTURE.md, \"Deviations from the "
+              "paper\")\n");
   std::printf("  - the paper's iris depth-1 outlier (20%%) stems from its "
               "specific 80/20 split;\n    our generator reproduces the "
               "50/50-leaf *tie* (footnote 10) that drives the\n    "

@@ -432,7 +432,6 @@ int main(int Argc, char **Argv) {
     ServerConfig.Query.Limits.MaxCacheBytes = Serving.CacheBytes;
     ServerConfig.Query.FrontierJobs = Serving.FrontierJobs;
     ServerConfig.Query.SplitJobs = Serving.SplitJobs;
-    ServerConfig.Query.DeltaSlack = Serving.DeltaSlack;
     ServerConfig.Jobs = Serving.Jobs;
     ServerConfig.Store = Store;
     CertServer Server(Train, ServerConfig);
@@ -495,7 +494,6 @@ int main(int Argc, char **Argv) {
     ServerConfig.Query.Limits.MaxCacheBytes = Serving.CacheBytes;
     ServerConfig.Query.FrontierJobs = Serving.FrontierJobs;
     ServerConfig.Query.SplitJobs = Serving.SplitJobs;
-    ServerConfig.Query.DeltaSlack = Serving.DeltaSlack;
     ServerConfig.Jobs = Serving.Jobs;
     ServerConfig.Store = Store;
     CertServer Server(Train, ServerConfig);
@@ -576,7 +574,6 @@ int main(int Argc, char **Argv) {
   Config.Limits.MaxCacheBytes = Serving.CacheBytes;
   Config.FrontierJobs = Serving.FrontierJobs;
   Config.SplitJobs = Serving.SplitJobs;
-  Config.DeltaSlack = Serving.DeltaSlack;
   // The one-shot and --all modes reuse the same composed store: a
   // RAM-only cache is pointless for a one-shot batch with distinct rows
   // but demos the hit path; the two-tier composition with a --cache-dir

@@ -20,8 +20,9 @@
 using namespace antidote;
 
 int main() {
-  // A reduced-scale MNIST-1-7-Binary workload (see DESIGN.md §3); the
-  // certified budgets scale with the training-set size.
+  // A reduced-scale MNIST-1-7-Binary workload (see docs/ARCHITECTURE.md,
+  // "Deviations from the paper"); the certified budgets scale with the
+  // training-set size.
   MnistLikeConfig Config;
   Config.TrainRows = 600;
   Config.TestRows = 40;

@@ -138,7 +138,6 @@ int main(int Argc, char **Argv) {
   Config.Jobs = Serving.Jobs;
   Config.FrontierJobs = Serving.FrontierJobs;
   Config.SplitJobs = Serving.SplitJobs;
-  Config.DeltaSlack = Serving.DeltaSlack;
   // The store composition, shared with antidote_cli: RAM LRU in front,
   // persistent tier behind (--cache-dir / ANTIDOTE_CACHE_DIR — a re-run
   // of the same sweep answers its deterministic cells from disk), both

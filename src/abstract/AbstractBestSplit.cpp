@@ -67,7 +67,8 @@ void scoreFeatureShard(const SplitEnumerationPrepass &Pre, unsigned Feature,
   // produces is in Φ∃: both sides non-empty as row sets, hence non-empty
   // for at least one concretization. Splits are exact here because the
   // symbolic thresholds come from adjacent values of this very row set
-  // (DESIGN.md §5), so the side budgets are min(n, |side|) per equation (1).
+  // (docs/ARCHITECTURE.md, "Deviations from the paper"), so the side
+  // budgets are min(n, |side|) per equation (1).
   forEachFeatureCandidateSplit(
       Pre, Feature, PredicateMode::SymbolicInterval, PosScratch,
       [&](const SplitPredicate &Pred, const std::vector<uint32_t> &PosCounts,

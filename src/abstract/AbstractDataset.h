@@ -65,7 +65,8 @@ public:
   bool emptySetPossible() const { return Budget >= size(); }
 
   /// True iff every row has the same label (then ent(T') = 0 for every
-  /// concretization, making the `ent ≠ 0` branch infeasible; DESIGN.md §6).
+  /// concretization, making the `ent ≠ 0` branch infeasible; see
+  /// docs/ARCHITECTURE.md, "Deviations from the paper").
   bool isSingleClass() const;
 
   /// `|⟨T,n⟩| = [|T| − n, |T|]` (§4.6).

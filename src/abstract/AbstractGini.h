@@ -40,7 +40,8 @@ enum class CprobTransformerKind : uint8_t {
 };
 
 /// How each Gini term f(ι) = ι(1 − ι) of `ent#` is evaluated (see
-/// `abstractGiniImpurity` below and DESIGN.md §5).
+/// `abstractGiniImpurity` below and docs/ARCHITECTURE.md, "Deviations
+/// from the paper").
 enum class GiniLiftingKind : uint8_t {
   ExactTerm,      ///< Optimal unary image of x(1 − x) (default).
   NaturalLifting, ///< Literal ι([1,1] − ι) interval arithmetic (ablation).
@@ -72,7 +73,8 @@ Interval abstractGiniTermRange(const Interval &Prob);
 /// keeps almost every candidate and even the §2 running example becomes
 /// unprovable. We therefore default to the exact unary image (sound, and
 /// required to reproduce the paper's verified fractions) and keep the
-/// literal lifting below for the ablation bench. See DESIGN.md §5.
+/// literal lifting below for the ablation bench. See docs/ARCHITECTURE.md,
+/// "Deviations from the paper".
 Interval abstractGiniImpurity(
     const std::vector<Interval> &Probs,
     GiniLiftingKind Lifting = GiniLiftingKind::ExactTerm);

@@ -30,14 +30,10 @@
 /// relabeled"; `restrict` on a concrete predicate computes the correct
 /// child under either reading.
 ///
-/// Serving-rule applicability (see serving/StoreKey.h and
-/// antidote/Verifier.cpp): the radius-range rule (Robust@N ⇒ n ≤ N,
-/// Unknown@N ⇒ n ≥ N) holds for every model whose budgets nest
-/// (∆a(T) ⊆ ∆b(T) for a ≤ b) — true for removal and flips. The
-/// delta-slack rule additionally needs removal's containment argument
-/// ∆n(T') ⊆ ∆(n+k)(T) for a child T' missing k rows of T; a flipped
-/// child is *not* contained in any parent flip set, so slack serving is
-/// gated to `ThreatModelKind::Removal`.
+/// Serving-rule applicability (see serving/StoreKey.h): the radius-range
+/// rule (Robust@N ⇒ n ≤ N, Unknown@N ⇒ n ≥ N) holds for every model
+/// whose budgets nest (∆a(T) ⊆ ∆b(T) for a ≤ b) — true for removal and
+/// flips.
 ///
 //===----------------------------------------------------------------------===//
 

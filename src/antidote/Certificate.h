@@ -48,9 +48,9 @@ struct Certificate {
   uint32_t PoisoningBudget = 0;
 
   /// The radius the underlying proof actually ran at. A fresh
-  /// verification sets this equal to `PoisoningBudget`; a range- or
-  /// slack-served answer keeps the stored proof's radius and rewrites
-  /// only `PoisoningBudget` to the queried n. The two differing is how
+  /// verification sets this equal to `PoisoningBudget`; a range-served
+  /// answer keeps the stored proof's radius and rewrites only
+  /// `PoisoningBudget` to the queried n. The two differing is how
   /// a client (or test) can tell a served answer rests on a wider
   /// certificate: a Robust verdict is backed by a proof at
   /// `CertifiedRadius >= PoisoningBudget` (monotonicity: ∆n ⊆ ∆N for

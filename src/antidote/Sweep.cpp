@@ -42,7 +42,6 @@ public:
     QueryConfig.SplitJobs = Config.SplitJobs;
     QueryConfig.FrontierPool = FrontierPool;
     QueryConfig.Cache = Config.Cache;
-    QueryConfig.DeltaSlack = Config.DeltaSlack;
   }
 
   SweepSeries run() {

@@ -116,13 +116,6 @@ struct SweepConfig {
   /// the `Jobs` batch workers.
   CertificateStore *Cache = nullptr;
 
-  /// Passed through to every instance's `VerifierConfig::DeltaSlack`:
-  /// with a `Cache` attached and the sweep's verifier armed with
-  /// lineage, instances may be answered from a parent dataset's
-  /// certificates (the CLI knob `--delta-slack 0` disables it for A/B
-  /// runs). Inert without lineage.
-  bool DeltaSlack = true;
-
   CprobTransformerKind Cprob = CprobTransformerKind::Optimal;
   GiniLiftingKind Gini = GiniLiftingKind::ExactTerm;
 

@@ -71,45 +71,6 @@ Certificate Verifier::verify(const float *X, uint32_t PoisoningBudget,
     if (Config.Cache->lookup(Fingerprint, X, Train->numFeatures(),
                              PoisoningBudget, Config, Cached))
       return Cached;
-
-    // Delta-tolerant serving: the store has nothing under this
-    // dataset's own fingerprint, but when the dataset is a
-    // pure-removal delta of a parent (|T0 \ T| <= RowsRemoved, no
-    // additions), a parent certificate Robust at n + RowsRemoved is a
-    // sound answer at n: every T' ∈ ∆n(T) is also a subset of T0 with
-    // |T0 \ T'| <= n + RowsRemoved, so the parent proof covers it. Any
-    // *added* row voids the argument (subsets of T need not be subsets
-    // of T0), so the slack path stays dark then — the randomized
-    // property tests pin both directions. Only Robust transfers:
-    // serving a parent Unknown would trade a possibly-provable child
-    // query for a vacuous answer. The whole argument is about *removed
-    // rows*, so it exists only under the Removal threat model: a flip
-    // child T (missing rows of T0) has relabelings that are not
-    // relabelings of T0, and no removal budget widening bridges the
-    // two perturbation sets.
-    if (Config.DeltaSlack && Config.Threat == ThreatModelKind::Removal &&
-        HasLineage && Lineage.RowsAdded == 0) {
-      uint64_t Slack = static_cast<uint64_t>(PoisoningBudget) +
-                       Lineage.RowsRemoved;
-      Certificate Parent;
-      if (Slack <= UINT32_MAX &&
-          Config.Cache->lookup(Lineage.Parent, X, Train->numFeatures(),
-                               static_cast<uint32_t>(Slack), Config,
-                               Parent) &&
-          Parent.Kind == VerdictKind::Robust &&
-          Parent.CertifiedRadius >= Slack) {
-        Certificate Served = Parent;
-        Served.PoisoningBudget = PoisoningBudget;
-        // The served answer is sound but rests on the parent's proof;
-        // an exact certificate for this dataset should land in the
-        // background (never stored here — the fresh one must not be
-        // shadowed by a duplicate-decline).
-        if (Config.Reverify)
-          Config.Reverify->scheduleReverify(X, Train->numFeatures(),
-                                            PoisoningBudget);
-        return Served;
-      }
-    }
   }
 
   Certificate Cert;

@@ -37,7 +37,6 @@ namespace antidote {
 /// names the seam; the contract and every implementation live above it
 /// in serving/CertificateStore.h.
 class CertificateStore;
-class ReverifyScheduler;
 
 /// Per-query verification parameters.
 struct VerifierConfig {
@@ -91,47 +90,6 @@ struct VerifierConfig {
   /// serving layer's fingerprint-keyed `CertCache` is the production
   /// one. Null (default) disables caching entirely.
   CertificateStore *Cache = nullptr;
-
-  /// Delta-tolerant serving: when the verifier knows its dataset's
-  /// lineage (see `Verifier::setLineage`) and the store misses under
-  /// the dataset's own fingerprint, consult it under the *parent*
-  /// fingerprint with budget n + RowsRemoved, and serve a Robust
-  /// certificate found there (sound for pure-removal deltas; see
-  /// `DatasetLineage`). The CLI knob `--delta-slack 0` turns this off
-  /// for A/B runs. Ignored without lineage or without a cache — and
-  /// under any threat model other than Removal: the n + k containment
-  /// argument is about removed rows and does not transfer to flips
-  /// (a relabeling of the child set is not a relabeling of the parent).
-  bool DeltaSlack = true;
-
-  /// Optional hook the slack path notifies when it serves an answer
-  /// from the parent's certificate: the exact re-verification should
-  /// run in the background and write the fresh certificate through
-  /// under the child's own fingerprint. `CertServer` is the production
-  /// implementation (its background queue drains when the foreground
-  /// is idle). Null = no background re-verification is scheduled.
-  ReverifyScheduler *Reverify = nullptr;
-};
-
-/// The background re-verification hook the delta-slack path talks to.
-/// When `Verifier::verify` answers a query from the *parent* dataset's
-/// certificate (sound, but wider than necessary), it calls
-/// `scheduleReverify` so an exact certificate for the child dataset
-/// lands in the store without blocking the response. Implementations
-/// must be safe to call from concurrent `verifyBatch` workers and must
-/// run the re-verification with `DeltaSlack` off (or lineage cleared) —
-/// otherwise the background run would serve itself from the same parent
-/// certificate instead of verifying.
-class ReverifyScheduler {
-public:
-  virtual ~ReverifyScheduler() = default;
-
-  /// Requests a background exact verification of (\p X .. \p X +
-  /// \p NumFeatures, \p PoisoningBudget) against the child dataset.
-  /// May coalesce duplicates; best-effort (a dropped request only
-  /// costs the next cold query a verification).
-  virtual void scheduleReverify(const float *X, unsigned NumFeatures,
-                                uint32_t PoisoningBudget) = 0;
 };
 
 /// Verifies data-poisoning robustness of decision-tree learning on a fixed
@@ -156,18 +114,6 @@ public:
   /// construction — the dataset component of every cache key this
   /// verifier's queries use (see data/Fingerprint.h).
   const DatasetFingerprint &fingerprint() const { return Fingerprint; }
-
-  /// Declares this verifier's training set a delta of a parent dataset
-  /// (see `DatasetLineage`), arming the `DeltaSlack` serving path. The
-  /// one exception to "immutable after construction": call it before
-  /// issuing queries, never concurrently with them. Typically built
-  /// from the parent's fingerprint plus the mutation counters the
-  /// `Dataset` kept since `markLineage()` (data/Dataset.h).
-  void setLineage(const DatasetLineage &L) { Lineage = L; HasLineage = true; }
-  void clearLineage() { HasLineage = false; }
-  const DatasetLineage *lineage() const {
-    return HasLineage ? &Lineage : nullptr;
-  }
 
   /// L(T)(x): the unpoisoned learner's prediction at depth \p Depth.
   unsigned predict(const float *X, unsigned Depth) const;
@@ -196,8 +142,6 @@ private:
   SplitContext Ctx;
   RowIndexList AllTrainRows;
   DatasetFingerprint Fingerprint;
-  DatasetLineage Lineage;
-  bool HasLineage = false;
 };
 
 } // namespace antidote

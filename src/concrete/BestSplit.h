@@ -249,7 +249,8 @@ void forEachCandidateSplit(const SplitContext &Ctx, const RowIndexList &Rows,
 /// real features): the non-trivially-splitting predicate minimizing
 /// `score`, or `std::nullopt` for ⋄ when no such predicate exists. Ties are
 /// broken toward the smallest (feature, threshold); the paper leaves them
-/// nondeterministic (see DESIGN.md §5).
+/// nondeterministic (see docs/ARCHITECTURE.md, "Deviations from the
+/// paper").
 ///
 /// With \p Pool and `SplitJobs != 1` the per-feature scoring passes shard
 /// onto the pool (`SplitJobs` caps the executors recruited, 0 = one per

@@ -43,7 +43,8 @@ double splitScore(const std::vector<uint32_t> &PosCounts, uint32_t PosTotal,
 bool isPure(const std::vector<uint32_t> &Counts);
 
 /// `argmax_i p_i` with deterministic lowest-index tie-breaking (the paper
-/// leaves ties nondeterministic; see DESIGN.md §5).
+/// leaves ties nondeterministic; see docs/ARCHITECTURE.md, "Deviations
+/// from the paper").
 unsigned argmaxClass(const std::vector<uint32_t> &Counts);
 
 } // namespace antidote

@@ -7,7 +7,8 @@
 ///
 /// \file
 /// Minimal CSV reader/writer so the real UCI/MNIST files can be substituted
-/// for the synthetic generators when available (see DESIGN.md §3).
+/// for the synthetic generators when available (see docs/ARCHITECTURE.md,
+/// "Deviations from the paper").
 ///
 /// Format: one row per line, comma-separated numeric feature values followed
 /// by an integral class label in the last column. Lines beginning with '#'

@@ -43,16 +43,6 @@ void Dataset::addRow(const float *Features, unsigned Label) {
     Columns[F].push_back(Features[F]);
   Labels.push_back(Label);
   RowMirror.clear();
-  ++RowsAdded;
-}
-
-void Dataset::removeRow(unsigned Row) {
-  assert(Row < numRows() && "row out of range");
-  for (std::vector<float> &Column : Columns)
-    Column.erase(Column.begin() + Row);
-  Labels.erase(Labels.begin() + Row);
-  RowMirror.clear();
-  ++RowsRemoved;
 }
 
 void Dataset::materializeRowMirror() const {

@@ -129,45 +129,11 @@ public:
   /// Rewrites the label of \p Row. The one sanctioned in-place mutation of
   /// existing rows: the label-flip enumerator materializes a row subset once
   /// and then patches labels per flip set instead of rebuilding the matrix.
-  /// For lineage accounting a rewrite is one removal plus one addition (the
-  /// old row left the set, a new one entered) — unless it is a no-op.
   void setLabel(unsigned Row, unsigned Label) {
     assert(Row < numRows() && "row out of range");
     assert(Label < numClasses() && "label out of range");
-    if (Labels[Row] == Label)
-      return;
     Labels[Row] = Label;
-    ++RowsAdded;
-    ++RowsRemoved;
   }
-
-  /// Removes \p Row, shifting every later row down one index (row order is
-  /// certificate-relevant, so the removal must not reorder survivors the
-  /// way a swap-with-back would). O(rows x features); the retention-trim /
-  /// deletion-request path this serves is rare and row-at-a-time.
-  void removeRow(unsigned Row);
-
-  //===--------------------------------------------------------------------===//
-  // Delta tracking for the serving layer's lineage-aware slack path
-  // (antidote/Verifier.h `DatasetLineage`): the dataset counts the rows
-  // added and removed since `markLineage()` was last called, so a caller
-  // holding the fingerprint from that moment can build the lineage of the
-  // mutated set without diffing contents. The counters measure *churn*,
-  // not net size change — an add then a remove is one of each, and both
-  // directions matter for the soundness of serving from a parent
-  // certificate (removals widen the radius needed; any addition disarms
-  // the Robust transfer entirely).
-  //===--------------------------------------------------------------------===//
-
-  /// Zeroes the add/remove counters, declaring the current content the
-  /// lineage parent snapshot (fingerprint it *before* mutating further).
-  void markLineage() {
-    RowsAdded = 0;
-    RowsRemoved = 0;
-  }
-
-  uint32_t rowsAddedSinceMark() const { return RowsAdded; }
-  uint32_t rowsRemovedSinceMark() const { return RowsRemoved; }
 
   /// A new dataset holding the rows of \p Base selected by \p Rows (in
   /// order), copied column-by-column: one bulk copy per feature instead of a
@@ -191,10 +157,6 @@ private:
   std::vector<uint32_t> Labels;
   /// Lazy row-major mirror backing the `row()` shim; see `row()`.
   mutable std::vector<float> RowMirror;
-  /// Mutation counters since `markLineage()`; see the delta-tracking
-  /// section above.
-  uint32_t RowsAdded = 0;
-  uint32_t RowsRemoved = 0;
 };
 
 /// Returns [0, Base.numRows()) as a view over the whole dataset.

@@ -93,12 +93,3 @@ DatasetFingerprint antidote::fingerprintDataset(const Dataset &Data) {
   }
   return H.result();
 }
-
-DatasetLineage antidote::lineageSinceMark(const DatasetFingerprint &Parent,
-                                          const Dataset &Child) {
-  DatasetLineage L;
-  L.Parent = Parent;
-  L.RowsAdded = Child.rowsAddedSinceMark();
-  L.RowsRemoved = Child.rowsRemovedSinceMark();
-  return L;
-}

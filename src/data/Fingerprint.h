@@ -63,34 +63,6 @@ struct DatasetFingerprint {
 /// set at construction.
 DatasetFingerprint fingerprintDataset(const Dataset &Data);
 
-/// Lineage of a dataset relative to a *parent* snapshot: the parent's
-/// content fingerprint plus the number of rows added to / removed from
-/// it since. The delta-tolerant serving path (`VerifierConfig::DeltaSlack`
-/// in antidote/Verifier.h) uses it to consult the certificate store under
-/// the parent's key when the child's own fingerprint misses.
-///
-/// Direction matters for soundness (see docs/ARCHITECTURE.md):
-///  - *pure removal* (RowsAdded == 0): the child is a row-subset of the
-///    parent, so a parent certificate Robust at radius n + RowsRemoved
-///    soundly answers the child at radius n.
-///  - *any addition* (RowsAdded > 0): subsets of the child need not be
-///    subsets of the parent, and a parent Robust certificate says
-///    nothing about the child — the slack path must not serve it.
-///
-/// `Dataset::setLabel` on a row counts as one removal plus one addition.
-struct DatasetLineage {
-  DatasetFingerprint Parent;
-  uint32_t RowsAdded = 0;
-  uint32_t RowsRemoved = 0;
-};
-
-/// Builds the lineage of \p Child relative to the snapshot declared by
-/// its last `markLineage()` call, whose fingerprint the caller captured
-/// as \p Parent at that moment. Pure bookkeeping: the counters come from
-/// the dataset, no content is re-hashed or diffed.
-DatasetLineage lineageSinceMark(const DatasetFingerprint &Parent,
-                                const Dataset &Child);
-
 } // namespace antidote
 
 #endif // ANTIDOTE_DATA_FINGERPRINT_H

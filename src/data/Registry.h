@@ -7,10 +7,11 @@
 ///
 /// \file
 /// Named access to the five §6.1 benchmark datasets, at either the paper's
-/// full scale or the time-scaled defaults the bench binaries use (DESIGN.md
-/// §3). The registry also fixes each dataset's *verification subset* — the
-/// test rows the robustness experiments run on (the paper verifies every
-/// UCI test row but a fixed random 100-element subset for MNIST).
+/// full scale or the time-scaled defaults the bench binaries use
+/// (docs/ARCHITECTURE.md, "Deviations from the paper"). The registry also
+/// fixes each dataset's *verification subset* — the test rows the
+/// robustness experiments run on (the paper verifies every UCI test row but
+/// a fixed random 100-element subset for MNIST).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,10 +8,11 @@
 /// \file
 /// Deterministic synthetic stand-ins for the three UCI datasets of §6.1.
 ///
-/// This environment has no network access, so the exact UCI files cannot be
-/// fetched; per DESIGN.md §3 we generate class-conditional samples matching
-/// each dataset's published shape (row counts, feature counts/kinds, class
-/// balance, and the margin structure that drives decision-tree behaviour).
+/// The build has no network access, so the exact UCI files cannot be
+/// fetched; instead (docs/ARCHITECTURE.md, "Deviations from the paper") we
+/// generate class-conditional samples matching each dataset's published
+/// shape (row counts, feature counts/kinds, class balance, and the margin
+/// structure that drives decision-tree behaviour).
 /// Generators are pure functions of their seed.
 ///
 //===----------------------------------------------------------------------===//

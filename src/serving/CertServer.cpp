@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 using namespace antidote;
 
@@ -24,17 +23,6 @@ CertServer::CertServer(const Dataset &Train, const CertServerConfig &Config)
   this->Config.Query.FrontierPool = FrontierPool.get();
   this->Config.Query.Cache = Config.Store;
   this->Config.Query.Cancel = &AbortToken;
-  if (Config.Lineage) {
-    V.setLineage(*Config.Lineage);
-    // The server is the scheduler behind the slack path: slack-served
-    // queries land on the background queue for exact re-verification.
-    this->Config.Query.Reverify = this;
-  }
-  // The background config must verify for real: slack disarmed, no
-  // scheduler (a background run must never re-queue itself).
-  ExactQuery = this->Config.Query;
-  ExactQuery.DeltaSlack = false;
-  ExactQuery.Reverify = nullptr;
   Dispatcher = std::thread([this] { dispatchLoop(); });
 }
 
@@ -159,50 +147,21 @@ bool CertServer::probeStore(const float *X, uint32_t PoisoningBudget,
 void CertServer::dispatchLoop() {
   for (;;) {
     std::vector<Request> Batch;
-    BackgroundRequest Reverify;
-    bool RunReverify = false;
     {
       std::unique_lock<std::mutex> Lock(Mutex);
-      QueueChanged.wait(Lock, [this] {
-        return Stopping || !Queue.empty() || !BackgroundQueue.empty();
-      });
-      if (Queue.empty() && Stopping)
-        // Nothing left to serve; pending background re-verifications
-        // are dropped by design (the next cold query just verifies).
-        return;
-      if (Queue.empty()) {
-        // Foreground idle: run one background re-verification, then
-        // re-check — a submit during it takes priority next round.
-        Reverify = std::move(BackgroundQueue.front());
-        BackgroundQueue.pop_front();
-        ++BackgroundInFlight;
-        RunReverify = true;
-      } else {
-        // MaxBatch 0 = unbounded; anything else still takes at least
-        // one request, so the loop always makes progress.
-        size_t Take = Config.MaxBatch
-                          ? std::min(Config.MaxBatch, Queue.size())
-                          : Queue.size();
-        Batch.reserve(Take);
-        for (size_t I = 0; I < Take; ++I) {
-          Batch.push_back(std::move(Queue.front()));
-          Queue.pop_front();
-        }
-        InFlight += Batch.size();
+      QueueChanged.wait(Lock, [this] { return Stopping || !Queue.empty(); });
+      if (Queue.empty())
+        return; // Stopping, and nothing left to serve.
+      // MaxBatch 0 = unbounded; anything else still takes at least one
+      // request, so the loop always makes progress.
+      size_t Take = Config.MaxBatch ? std::min(Config.MaxBatch, Queue.size())
+                                    : Queue.size();
+      Batch.reserve(Take);
+      for (size_t I = 0; I < Take; ++I) {
+        Batch.push_back(std::move(Queue.front()));
+        Queue.pop_front();
       }
-    }
-    if (RunReverify) {
-      // The exact certificate writes through to the store under the
-      // child's own fingerprint inside verify (ExactQuery keeps the
-      // server's Cache wiring; only the slack path is disarmed).
-      V.verify(Reverify.X.data(), Reverify.PoisoningBudget, ExactQuery);
-      {
-        std::lock_guard<std::mutex> Guard(Mutex);
-        --BackgroundInFlight;
-        ++ReverifiesDone;
-      }
-      Idle.notify_all();
-      continue;
+      InFlight += Batch.size();
     }
     size_t Served = Batch.size();
     serveBatch(std::move(Batch));
@@ -308,54 +267,14 @@ void CertServer::serveBatch(std::vector<Request> Batch) {
   }
 }
 
-void CertServer::scheduleReverify(const float *X, unsigned NumFeatures,
-                                  uint32_t PoisoningBudget) {
-  BackgroundRequest R;
-  R.X.assign(X, X + NumFeatures);
-  R.PoisoningBudget = PoisoningBudget;
-  {
-    std::lock_guard<std::mutex> Guard(Mutex);
-    if (Stopping)
-      return; // Best-effort by contract; a shutdown drops the request.
-    // Coalesce bit-identical duplicates: a batch of repeats of one
-    // slack-served query needs one re-verification, not many.
-    for (const BackgroundRequest &Queued : BackgroundQueue)
-      if (Queued.PoisoningBudget == PoisoningBudget &&
-          Queued.X.size() == R.X.size() &&
-          std::memcmp(Queued.X.data(), R.X.data(),
-                      R.X.size() * sizeof(float)) == 0)
-        return;
-    BackgroundQueue.push_back(std::move(R));
-  }
-  QueueChanged.notify_one();
-}
-
 size_t CertServer::pendingRequests() const {
   std::lock_guard<std::mutex> Guard(Mutex);
   return Queue.size() + InFlight;
 }
 
-size_t CertServer::pendingReverifies() const {
-  std::lock_guard<std::mutex> Guard(Mutex);
-  return BackgroundQueue.size() + BackgroundInFlight;
-}
-
-uint64_t CertServer::reverifiesCompleted() const {
-  std::lock_guard<std::mutex> Guard(Mutex);
-  return ReverifiesDone;
-}
-
 void CertServer::drain() {
   std::unique_lock<std::mutex> Lock(Mutex);
   Idle.wait(Lock, [this] { return Queue.empty() && InFlight == 0; });
-}
-
-void CertServer::drainBackground() {
-  std::unique_lock<std::mutex> Lock(Mutex);
-  Idle.wait(Lock, [this] {
-    return Queue.empty() && InFlight == 0 && BackgroundQueue.empty() &&
-           BackgroundInFlight == 0;
-  });
 }
 
 void CertServer::stop() {

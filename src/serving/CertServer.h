@@ -40,23 +40,6 @@
 /// every accepted future is always fulfilled. Submissions after `stop`
 /// complete immediately with `VerdictKind::Cancelled`.
 ///
-/// ## Background re-verification (the delta-slack loop)
-///
-/// When the server's training set is declared a delta of a parent
-/// dataset (`CertServerConfig::Lineage`), the verifier's slack path may
-/// answer a query from the *parent's* stored certificate (sound but
-/// wider than necessary; see data/Fingerprint.h `DatasetLineage`). The
-/// server is the `ReverifyScheduler` behind that path: each slack-served
-/// query is queued for an exact re-verification that the dispatcher runs
-/// only when the foreground queue is empty — foreground latency is never
-/// taxed — with the slack path disarmed (`DeltaSlack` off), so the fresh
-/// certificate is computed for real and written through under the
-/// child's own fingerprint. Duplicate requests are coalesced while
-/// queued. `stop()` drops still-pending re-verifications by design (they
-/// are an optimization: the next cold query just verifies), and
-/// `drainBackground()` is the test/ops hook that waits for the
-/// background queue too.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef ANTIDOTE_SERVING_CERTSERVER_H
@@ -70,7 +53,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -105,14 +87,6 @@ struct CertServerConfig {
   /// Composition is the wiring layer's job, not the server's.
   CertificateStore *Store = nullptr;
 
-  /// Declares the training set a delta of a parent dataset (see
-  /// data/Fingerprint.h `DatasetLineage`), arming the delta-slack
-  /// serving path: when the store misses under this dataset's own
-  /// fingerprint, a Robust certificate stored under the parent's at
-  /// radius >= n + RowsRemoved is served immediately (pure-removal
-  /// deltas only) and an exact re-verification is queued in the
-  /// background. Unset = the server serves exact/range matches only.
-  std::optional<DatasetLineage> Lineage;
 };
 
 /// A long-lived certificate server for one training set.
@@ -121,7 +95,7 @@ struct CertServerConfig {
 /// called from any number of client threads. The returned future is
 /// fulfilled by the dispatcher (or a batch-pool worker's result folded by
 /// it); `get()` blocks until then.
-class CertServer : private ReverifyScheduler {
+class CertServer {
 public:
   CertServer(const Dataset &Train, const CertServerConfig &Config);
 
@@ -207,19 +181,8 @@ public:
   /// Requests not yet handed to a batch (for monitoring/backpressure).
   size_t pendingRequests() const;
 
-  /// Background re-verifications queued or running (monitoring).
-  size_t pendingReverifies() const;
-
-  /// Background exact re-verifications completed since construction.
-  uint64_t reverifiesCompleted() const;
-
   /// Blocks until every already-submitted request has been served.
   void drain();
-
-  /// `drain()`, plus waits for the background re-verification queue to
-  /// empty — after this, every slack-served answer has its exact
-  /// certificate written through under the child's own fingerprint.
-  void drainBackground();
 
   /// Stops accepting new work, serves everything already queued, joins
   /// the dispatcher. Idempotent; the destructor calls it.
@@ -263,27 +226,11 @@ private:
   /// `LiveTokens` entry (after which `cancelRequest` returns false).
   void finish(Request &R, const Certificate &Cert);
 
-  /// A slack-served query awaiting its exact background re-verification.
-  struct BackgroundRequest {
-    std::vector<float> X;
-    uint32_t PoisoningBudget = 0;
-  };
-
   void dispatchLoop();
   void serveBatch(std::vector<Request> Batch);
 
-  /// ReverifyScheduler: called by the slack path from batch-pool
-  /// workers; enqueues (coalescing bit-identical duplicates) for the
-  /// dispatcher to run when the foreground is idle.
-  void scheduleReverify(const float *X, unsigned NumFeatures,
-                        uint32_t PoisoningBudget) override;
-
   CertServerConfig Config;
   Verifier V;
-  /// `Config.Query` with the slack path disarmed (`DeltaSlack` off,
-  /// no scheduler): the background re-verification config — it must
-  /// verify for real, never serve itself from the parent certificate.
-  VerifierConfig ExactQuery;
   std::unique_ptr<ThreadPool> BatchPool;
   std::unique_ptr<ThreadPool> FrontierPool;
   CancellationToken AbortToken; ///< Cancelled by `abort()` only.
@@ -301,12 +248,6 @@ private:
   /// cancel them. Erased when the request is fulfilled.
   std::unordered_map<uint64_t, std::shared_ptr<CancellationToken>>
       LiveTokens;
-  /// Exact re-verifications of slack-served queries; the dispatcher
-  /// drains it only while `Queue` is empty. Pending entries are dropped
-  /// on `stop()` (they are an optimization, not owed work).
-  std::deque<BackgroundRequest> BackgroundQueue;
-  size_t BackgroundInFlight = 0;
-  uint64_t ReverifiesDone = 0;
   bool Stopping = false;
   std::thread Dispatcher;
 };

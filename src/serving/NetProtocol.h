@@ -38,9 +38,9 @@
 ///
 ///   u64 tag
 ///   u8  status          0 Ok, 1 Shed, 2 Error
-///   Ok:    u8 path (0 = verification path — fresh, cache, range or
-///          slack served; 1 = admission-control store probe answered
-///          while shedding), then the certificate encoding below
+///   Ok:    u8 path (0 = verification path — fresh, cache or range
+///          served; 1 = admission-control store probe answered while
+///          shedding), then the certificate encoding below
 ///   Shed:  u8 reason (0 = queue overload, 1 = per-client pacing).
 ///          Never carries a verdict — a shed is an explicit refusal,
 ///          not a fabricated answer.
@@ -138,8 +138,8 @@ enum class NetErrorReason : uint8_t {
 /// How an Ok response was produced (for tests and ops counters; both
 /// paths are equally sound).
 enum class NetServePath : uint8_t {
-  Verified = 0,  ///< Through Verifier::verify (fresh / cache / range /
-                 ///< slack — the normal admission path).
+  Verified = 0,  ///< Through Verifier::verify (fresh / cache / range —
+                 ///< the normal admission path).
   ShedProbe = 1, ///< Store-only probe answered while shedding.
 };
 

@@ -85,12 +85,6 @@ const OptRow Rows[] = {
      [](ServingOptions &O, uint64_t U, double, const char *) {
        O.RetentionBytes = U;
      }},
-    {"--delta-slack", "ANTIDOTE_DELTA_SLACK", OptKind::Unsigned, 1, 0.0,
-     "disabled", "0|1", "1",
-     "serve from a lineage parent's certificates on a store miss",
-     [](ServingOptions &O, uint64_t U, double, const char *) {
-       O.DeltaSlack = U != 0;
-     }},
     {"--listen", "ANTIDOTE_LISTEN", OptKind::Unsigned, 65535, 0.0,
      "kernel-assigned port", "PORT", "off",
      "serve the binary protocol on 127.0.0.1:PORT",

@@ -49,7 +49,6 @@ struct ServingOptions {
   bool CacheEnabled = false;   ///< --cache-bytes/--cache-dir/env seen.
   std::string CacheDir;        ///< Persistent store directory; "" = off.
   uint64_t RetentionBytes = 0; ///< Disk-store segment-byte budget; 0 = off.
-  bool DeltaSlack = true;      ///< Lineage-parent delta serving.
 
   ThreatModelKind Threat = ThreatModelKind::Removal;
 

@@ -209,6 +209,32 @@ TEST(CertCacheTest, DatasetMutationMissesViaFingerprint) {
   EXPECT_EQ(Stats.Hits, 0u);
   EXPECT_EQ(Stats.Misses, 2u);
   EXPECT_EQ(Stats.LiveRecords, 2u);
+
+  // The same rows minus the first: every subset of it is a subset of the
+  // original, yet a proof on the original at a wider radius must not
+  // answer it, not even through the range rule. It verifies fresh at
+  // its own radius.
+  RowIndexList AllButFirst;
+  for (uint32_t Row = 1; Row < Train.numRows(); ++Row)
+    AllButFirst.push_back(Row);
+  Dataset Smaller = Dataset::gatherRows(Train, AllButFirst);
+  Verifier VSmaller(Smaller);
+  ASSERT_NE(V.fingerprint(), VSmaller.fingerprint());
+
+  CertCache Wide(0);
+  Config.Cache = &Wide;
+  Config.Depth = 1;
+  const float Five[] = {5.0f}; // §2: white at depth 1 under one removal.
+  ASSERT_EQ(V.verify(Five, 1, Config).Kind, VerdictKind::Robust);
+  Certificate Child = VSmaller.verify(Five, 0, Config);
+  EXPECT_EQ(Child.CertifiedRadius, 0u);
+  Stats = Wide.stats();
+  EXPECT_EQ(Stats.Hits, 0u);
+  EXPECT_EQ(Stats.RangeHits, 0u);
+  EXPECT_EQ(Stats.Misses, 2u);
+  // Control: on the original set the same query is a range hit.
+  EXPECT_EQ(V.verify(Five, 0, Config).CertifiedRadius, 1u);
+  EXPECT_EQ(Wide.stats().RangeHits, 1u);
 }
 
 TEST(CertCacheTest, TimeoutVerdictsAreNeverCached) {

@@ -1,17 +1,14 @@
-//===- tests/DeltaSlackTests.cpp - Delta-tolerant serving tests ---------------===//
+//===- tests/DeltaSlackTests.cpp - Parent/child serving tests ------------===//
 //
 // Part of the Antidote reproduction of "Proving Data-Poisoning Robustness
 // in Decision Trees" (Drews, Albarghouthi, D'Antoni; PLDI 2020).
 //
-// The delta-slack serving path: a child dataset derived from a parent by
-// pure row removal may be answered from the parent's stored Robust
-// certificate at radius n + RowsRemoved (the removed rows are spent
-// against the parent's wider budget), with an exact re-verification
-// queued in the background. Any row *addition* voids the argument — a
-// subset of the child need not be a subset of the parent — so the path
-// must refuse to serve. Both directions are pinned here, along with the
-// CertServer end-to-end loop that turns a slack-served answer into a
-// fresh certificate under the child's own fingerprint.
+// A child dataset derived from a parent by removing rows has its own
+// fingerprint, so a certificate server over the child never answers from
+// the parent's stored certificates — not through an exact key and not
+// through the radius-range rule — even when the parent's proof was made
+// at a wider radius. The child's queries verify fresh at their own
+// radius.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,9 +25,8 @@ using namespace antidote::testutil;
 namespace {
 
 /// Two well-separated classes (8 rows at {1,2,3,4}, 8 at {11,12,13,14}):
-/// a depth-1 disjuncts verifier proves X=2.5 Robust up to n=3, and the
-/// margin survives removing a few rows — the shape the slack path needs
-/// (parent Robust at n+k, child still Robust at n).
+/// a depth-1 disjuncts verifier proves X=2.5 Robust at n=2, and the
+/// margin survives removing a row.
 Dataset separatedDataset() {
   Dataset D(DatasetSchema::uniform(1, FeatureKind::Real, 2));
   for (int I = 0; I < 8; ++I)
@@ -40,7 +36,7 @@ Dataset separatedDataset() {
   return D;
 }
 
-VerifierConfig slackConfig() {
+VerifierConfig separatedConfig() {
   VerifierConfig Config;
   Config.Depth = 1;
   Config.Domain = AbstractDomainKind::Disjuncts;
@@ -48,339 +44,42 @@ VerifierConfig slackConfig() {
   return Config;
 }
 
-/// Records every re-verification the slack path requests.
-class CapturingScheduler final : public ReverifyScheduler {
-public:
-  struct Call {
-    std::vector<float> X;
-    uint32_t PoisoningBudget = 0;
-  };
-
-  void scheduleReverify(const float *X, unsigned NumFeatures,
-                        uint32_t PoisoningBudget) override {
-    Calls.push_back({{X, X + NumFeatures}, PoisoningBudget});
-  }
-
-  std::vector<Call> Calls;
-};
-
 } // namespace
-
-TEST(DeltaSlackTest, RemovalDeltaServesParentProofAndQueuesReverify) {
-  Dataset Parent = separatedDataset();
-  Verifier PV(Parent);
-  CertCache Cache(/*MaxBytes=*/0);
-  VerifierConfig Config = slackConfig();
-  Config.Cache = &Cache;
-  const float X[] = {2.5f};
-
-  // The parent proves Robust at radius 2 and stores the certificate.
-  Certificate ParentCert = PV.verify(X, 2, Config);
-  ASSERT_EQ(ParentCert.Kind, VerdictKind::Robust);
-  ASSERT_EQ(ParentCert.CertifiedRadius, 2u);
-
-  // The child loses one row; its own fingerprint has no entries.
-  Dataset Child = separatedDataset();
-  Child.markLineage();
-  Child.removeRow(0);
-  Verifier CV(Child);
-  ASSERT_NE(CV.fingerprint(), PV.fingerprint());
-  CV.setLineage(lineageSinceMark(PV.fingerprint(), Child));
-
-  // n=1 with one removal consults the parent at slack budget 2: served
-  // immediately from the parent's proof, re-verification requested.
-  CapturingScheduler Scheduler;
-  Config.Reverify = &Scheduler;
-  Certificate Served = CV.verify(X, 1, Config);
-  EXPECT_EQ(Served.Kind, VerdictKind::Robust);
-  EXPECT_EQ(Served.PoisoningBudget, 1u);
-  EXPECT_EQ(Served.CertifiedRadius, 2u); // Still names the parent proof.
-  ASSERT_EQ(Scheduler.Calls.size(), 1u);
-  EXPECT_EQ(Scheduler.Calls[0].X, std::vector<float>({2.5f}));
-  EXPECT_EQ(Scheduler.Calls[0].PoisoningBudget, 1u);
-
-  // The soundness claim itself: a fresh cache-less child verification
-  // agrees the served verdict was right.
-  VerifierConfig Fresh = slackConfig();
-  Certificate Exact = CV.verify(X, 1, Fresh);
-  EXPECT_EQ(Exact.Kind, VerdictKind::Robust);
-
-  // A slack-served answer is *not* written under the child fingerprint
-  // (that would block the background exact certificate): looking it up
-  // directly still misses.
-  Certificate Out;
-  EXPECT_FALSE(Cache.lookup(CV.fingerprint(), X, 1, 1, Config, Out));
-}
-
-TEST(DeltaSlackTest, MultiRowRemovalSumsTheSlack) {
-  Dataset Parent = separatedDataset();
-  Verifier PV(Parent);
-  CertCache Cache(/*MaxBytes=*/0);
-  VerifierConfig Config = slackConfig();
-  Config.Cache = &Cache;
-  const float X[] = {2.5f};
-
-  ASSERT_EQ(PV.verify(X, 3, Config).Kind, VerdictKind::Robust);
-
-  Dataset Child = separatedDataset();
-  Child.markLineage();
-  Child.removeRow(0);
-  Child.removeRow(0);
-  Verifier CV(Child);
-  CV.setLineage(lineageSinceMark(PV.fingerprint(), Child));
-
-  // n=1 with two removals needs the parent Robust at 1+2=3 — which it
-  // is. n=2 would need radius 4, which is not stored: the slack path
-  // must miss and verify fresh (CertifiedRadius == the queried budget).
-  Certificate Served = CV.verify(X, 1, Config);
-  EXPECT_EQ(Served.Kind, VerdictKind::Robust);
-  EXPECT_EQ(Served.CertifiedRadius, 3u);
-
-  Certificate FreshRun = CV.verify(X, 2, Config);
-  EXPECT_EQ(FreshRun.CertifiedRadius, 2u);
-}
-
-TEST(DeltaSlackTest, AdditionDeltaNeverServes) {
-  Dataset Parent = separatedDataset();
-  Verifier PV(Parent);
-  CertCache Cache(/*MaxBytes=*/0);
-  VerifierConfig Config = slackConfig();
-  Config.Cache = &Cache;
-  const float X[] = {2.5f};
-
-  ASSERT_EQ(PV.verify(X, 3, Config).Kind, VerdictKind::Robust);
-
-  // One row added: the child is no longer a subset of the parent, so
-  // the parent's proof transfers nothing — the child must verify fresh
-  // and no re-verification may be scheduled.
-  Dataset Child = separatedDataset();
-  Child.markLineage();
-  Child.addRow({12.0f}, 1);
-  Verifier CV(Child);
-  CV.setLineage(lineageSinceMark(PV.fingerprint(), Child));
-
-  CapturingScheduler Scheduler;
-  Config.Reverify = &Scheduler;
-  Certificate Cert = CV.verify(X, 1, Config);
-  EXPECT_EQ(Cert.CertifiedRadius, 1u); // Fresh, not the parent's radius.
-  EXPECT_TRUE(Scheduler.Calls.empty());
-}
-
-TEST(DeltaSlackTest, SetLabelCountsAsAdditionAndNeverServes) {
-  Dataset Parent = separatedDataset();
-  Verifier PV(Parent);
-  CertCache Cache(/*MaxBytes=*/0);
-  VerifierConfig Config = slackConfig();
-  Config.Cache = &Cache;
-  const float X[] = {2.5f};
-
-  ASSERT_EQ(PV.verify(X, 3, Config).Kind, VerdictKind::Robust);
-
-  // A label flip is one removal plus one addition — the addition alone
-  // voids the subset argument.
-  Dataset Child = separatedDataset();
-  Child.markLineage();
-  Child.setLabel(15, 0);
-  Verifier CV(Child);
-  DatasetLineage L = lineageSinceMark(PV.fingerprint(), Child);
-  EXPECT_EQ(L.RowsAdded, 1u);
-  EXPECT_EQ(L.RowsRemoved, 1u);
-  CV.setLineage(L);
-
-  CapturingScheduler Scheduler;
-  Config.Reverify = &Scheduler;
-  Certificate Cert = CV.verify(X, 1, Config);
-  EXPECT_EQ(Cert.CertifiedRadius, 1u);
-  EXPECT_TRUE(Scheduler.Calls.empty());
-}
-
-TEST(DeltaSlackTest, DeltaSlackKnobDisablesTheConsult) {
-  Dataset Parent = separatedDataset();
-  Verifier PV(Parent);
-  CertCache Cache(/*MaxBytes=*/0);
-  VerifierConfig Config = slackConfig();
-  Config.Cache = &Cache;
-  const float X[] = {2.5f};
-
-  ASSERT_EQ(PV.verify(X, 2, Config).Kind, VerdictKind::Robust);
-
-  Dataset Child = separatedDataset();
-  Child.markLineage();
-  Child.removeRow(0);
-  Verifier CV(Child);
-  CV.setLineage(lineageSinceMark(PV.fingerprint(), Child));
-
-  // Same setup as the serving test, slack disarmed: the child verifies
-  // fresh (the `--delta-slack 0` A/B path).
-  CapturingScheduler Scheduler;
-  Config.Reverify = &Scheduler;
-  Config.DeltaSlack = false;
-  Certificate Cert = CV.verify(X, 1, Config);
-  EXPECT_EQ(Cert.CertifiedRadius, 1u);
-  EXPECT_TRUE(Scheduler.Calls.empty());
-}
-
-TEST(DeltaSlackTest, ParentUnknownIsNeverSlackServed) {
-  Dataset Parent = separatedDataset();
-  Verifier PV(Parent);
-  CertCache Cache(/*MaxBytes=*/0);
-  VerifierConfig Config = slackConfig();
-  Config.Cache = &Cache;
-  const float X[] = {2.5f};
-
-  // The parent fails at radius 5 (Unknown). A child with one row
-  // removed querying n=4 maps to the parent's budget 5 — but Unknown
-  // does not transfer across datasets (the child's margin differs),
-  // so the slack path must verify fresh.
-  ASSERT_EQ(PV.verify(X, 5, Config).Kind, VerdictKind::Unknown);
-
-  Dataset Child = separatedDataset();
-  Child.markLineage();
-  Child.removeRow(0);
-  Verifier CV(Child);
-  CV.setLineage(lineageSinceMark(PV.fingerprint(), Child));
-
-  CapturingScheduler Scheduler;
-  Config.Reverify = &Scheduler;
-  Certificate Cert = CV.verify(X, 4, Config);
-  EXPECT_EQ(Cert.CertifiedRadius, 4u);
-  EXPECT_TRUE(Scheduler.Calls.empty());
-}
-
-TEST(DeltaSlackTest, FlipQueryIsNeverAnsweredFromParentCertificate) {
-  // The threat gate: slack's n + k containment argument is about rows
-  // *removed* from the parent — a relabeling of the child set is not a
-  // relabeling of the parent, so a flip query must never be answered
-  // from a parent certificate, whatever that certificate's own model.
-  // Plant unmistakable Robust certificates under the parent fingerprint
-  // at exactly the radius the slack consult would probe (n=1 plus one
-  // removal = 2), under both the removal and the flip config, and check
-  // the child's flip query walks past both.
-  Dataset Parent = separatedDataset();
-  Verifier PV(Parent);
-  CertCache Cache(/*MaxBytes=*/0);
-  const float X[] = {2.5f};
-
-  VerifierConfig RemovalCfg = slackConfig();
-  VerifierConfig FlipCfg = slackConfig();
-  FlipCfg.Threat = ThreatModelKind::LabelFlip;
-
-  Certificate Planted;
-  Planted.Kind = VerdictKind::Robust;
-  Planted.PoisoningBudget = 2;
-  Planted.CertifiedRadius = 2;
-  Planted.Depth = RemovalCfg.Depth;
-  Planted.Domain = RemovalCfg.Domain;
-  Planted.ConcretePrediction = 0;
-  Planted.DominatingClass = 0;
-  Planted.NumTerminals = 999999; // The marker: no fresh run looks like this.
-  Planted.Threat = ThreatModelKind::Removal;
-  Cache.store(PV.fingerprint(), X, 1, 2, RemovalCfg, Planted);
-  Planted.Threat = ThreatModelKind::LabelFlip;
-  Cache.store(PV.fingerprint(), X, 1, 2, FlipCfg, Planted);
-
-  Dataset Child = separatedDataset();
-  Child.markLineage();
-  Child.removeRow(0);
-  Verifier CV(Child);
-  CV.setLineage(lineageSinceMark(PV.fingerprint(), Child));
-
-  // Control first: a removal query at n=1 is slack-served the planted
-  // parent proof (the gate is about the threat, not the plumbing).
-  VerifierConfig CachedRemoval = RemovalCfg;
-  CachedRemoval.Cache = &Cache;
-  Certificate ServedRemoval = CV.verify(X, 1, CachedRemoval);
-  EXPECT_EQ(ServedRemoval.NumTerminals, 999999u);
-  EXPECT_EQ(ServedRemoval.CertifiedRadius, 2u);
-
-  // The property: the same query under the flip model verifies fresh —
-  // not the marker, not the parent radius — and schedules no reverify.
-  CapturingScheduler Scheduler;
-  VerifierConfig CachedFlip = FlipCfg;
-  CachedFlip.Cache = &Cache;
-  CachedFlip.Reverify = &Scheduler;
-  Certificate ServedFlip = CV.verify(X, 1, CachedFlip);
-  EXPECT_NE(ServedFlip.NumTerminals, 999999u);
-  EXPECT_EQ(ServedFlip.CertifiedRadius, 1u);
-  EXPECT_EQ(ServedFlip.Threat, ThreatModelKind::LabelFlip);
-  EXPECT_TRUE(Scheduler.Calls.empty());
-}
-
-//===----------------------------------------------------------------------===//
-// CertServer end to end: slack serve, then background exact write-through
-//===----------------------------------------------------------------------===//
-
-TEST(DeltaSlackTest, ServerReverifiesSlackServedQueryInBackground) {
-  // The parent's certificates live in a store shared with the child's
-  // server (the production shape: one long-lived backing store, the
-  // dataset evolving under it).
-  Dataset Parent = separatedDataset();
-  Verifier PV(Parent);
-  CertCache Backing(/*MaxBytes=*/0);
-  VerifierConfig Seed = slackConfig();
-  Seed.Cache = &Backing;
-  const float X[] = {2.5f};
-  ASSERT_EQ(PV.verify(X, 2, Seed).Kind, VerdictKind::Robust);
-
-  Dataset Child = separatedDataset();
-  Child.markLineage();
-  Child.removeRow(0);
-
-  CertServerConfig SC;
-  SC.Query = slackConfig();
-  SC.Jobs = 2;
-  SC.Store = &Backing; // One tier keeps the stats assertions direct.
-  SC.Lineage = lineageSinceMark(PV.fingerprint(), Child);
-  CertServer Server(Child, SC);
-
-  // The submit is slack-served from the parent's radius-2 proof.
-  Certificate Served = Server.submit({2.5f}, 1).get();
-  EXPECT_EQ(Served.Kind, VerdictKind::Robust);
-  EXPECT_EQ(Served.PoisoningBudget, 1u);
-  EXPECT_EQ(Served.CertifiedRadius, 2u);
-
-  // Draining the background queue completes the exact re-verification
-  // and writes the fresh certificate under the *child's* fingerprint.
-  Server.drainBackground();
-  EXPECT_EQ(Server.pendingReverifies(), 0u);
-  EXPECT_EQ(Server.reverifiesCompleted(), 1u);
-
-  VerifierConfig Probe = slackConfig();
-  Certificate Out;
-  ASSERT_TRUE(Backing.lookup(Server.verifier().fingerprint(), X, 1, 1,
-                             Probe, Out));
-  EXPECT_EQ(Out.Kind, VerdictKind::Robust);
-  EXPECT_EQ(Out.CertifiedRadius, 1u); // An exact child proof, not slack.
-
-  // Later identical submits are exact hits on the child's own entry.
-  Certificate Warm = Server.submit({2.5f}, 1).get();
-  EXPECT_EQ(Warm.Kind, VerdictKind::Robust);
-  EXPECT_EQ(Warm.CertifiedRadius, 1u);
-  EXPECT_EQ(Server.reverifiesCompleted(), 1u); // No second re-verify.
-}
 
 TEST(DeltaSlackTest, ServerWithoutLineageServesExactOnly) {
   Dataset Parent = separatedDataset();
   Verifier PV(Parent);
   CertCache Backing(/*MaxBytes=*/0);
-  VerifierConfig Seed = slackConfig();
+  VerifierConfig Seed = separatedConfig();
   Seed.Cache = &Backing;
   const float X[] = {2.5f};
   ASSERT_EQ(PV.verify(X, 2, Seed).Kind, VerdictKind::Robust);
+  ASSERT_EQ(Backing.stats().LiveRecords, 1u);
 
-  Dataset Child = separatedDataset();
-  Child.removeRow(0);
+  RowIndexList AllButFirst;
+  for (uint32_t Row = 1; Row < Parent.numRows(); ++Row)
+    AllButFirst.push_back(Row);
+  Dataset Child = Dataset::gatherRows(Parent, AllButFirst);
 
   CertServerConfig SC;
-  SC.Query = slackConfig();
+  SC.Query = separatedConfig();
   SC.Jobs = 2;
   SC.Store = &Backing;
   CertServer Server(Child, SC);
+  ASSERT_NE(Server.verifier().fingerprint(), PV.fingerprint());
 
-  // No lineage declared: the child verifies fresh and never consults
-  // the parent's entries.
+  // The parent's wider proof is in the shared store, yet the child's
+  // store probe finds nothing to serve.
+  Certificate Probed;
+  EXPECT_FALSE(Server.probeStore(X, 1, Probed));
+
+  // The child verifies fresh and never consults the parent's entries.
+  StoreStats Before = Backing.stats();
   Certificate Cert = Server.submit({2.5f}, 1).get();
+  EXPECT_EQ(Cert.Kind, VerdictKind::Robust);
   EXPECT_EQ(Cert.CertifiedRadius, 1u);
-  EXPECT_EQ(Server.pendingReverifies(), 0u);
-  EXPECT_EQ(Server.reverifiesCompleted(), 0u);
+  StoreStats After = Backing.stats();
+  EXPECT_EQ(After.Hits, Before.Hits);
+  EXPECT_EQ(After.RangeHits, Before.RangeHits);
+  EXPECT_EQ(After.LiveRecords, 2u);
 }

@@ -3,10 +3,10 @@
 // Part of the Antidote reproduction of "Proving Data-Poisoning Robustness
 // in Decision Trees" (Drews, Albarghouthi, D'Antoni; PLDI 2020).
 //
-// Randomized property tests for the two cross-key serving rules: the
-// radius-range lattice (Robust down, Unknown up; serving/StoreKey.h) and
-// the removal-delta slack path (data/Fingerprint.h `DatasetLineage`).
-// The one property that must never break, across all three abstract
+// Randomized property tests for the cross-key serving rule, the
+// radius-range lattice (Robust down, Unknown up; serving/StoreKey.h), on
+// each path that serves it: in process, over the wire and from a
+// replica. The one property that must never break, across all three abstract
 // domains and both threat models (flips run Disjuncts only — the one
 // domain the flip transformers are sound under):
 //
@@ -17,7 +17,7 @@
 // A served Unknown is vacuously sound (it claims nothing), so only the
 // Robust direction is a soundness property; the tests still run fresh
 // verification on every served answer to catch a served-Robust /
-// fresh-Unknown divergence from either rule.
+// fresh-Unknown divergence on any path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -145,68 +145,7 @@ TEST_P(ServingSoundnessProperty, RangeServedRobustImpliesFreshRobust) {
   }
 }
 
-// Random removal deltas: serve the child from the parent's store with
-// n + RowsRemoved slack, then check every served Robust against a fresh
-// child verification. Under the flip model the slack rule does not apply
-// (a relabeled child set is not contained in any parent flip set), so the
-// same setup additionally pins that no parent proof leaks through: every
-// flip answer must be a fresh child verification or a same-fingerprint
-// range serve, never a certificate at the parent's widened radius.
-TEST_P(ServingSoundnessProperty, SlackServedRobustImpliesFreshRobust) {
-  Rng R(0xDE17A + static_cast<uint64_t>(GetParam().first) * 7 +
-        static_cast<uint64_t>(GetParam().second) * 131);
-  RandomDatasetSpec Spec;
-  Spec.MinRows = 6; // Leave rows to remove.
-  VerifierConfig Fresh = paramConfig(GetParam());
-
-  for (int Trial = 0; Trial < 12; ++Trial) {
-    Dataset Parent = makeRandomDataset(R, Spec);
-    Verifier PV(Parent);
-    std::vector<float> X = makeRandomQuery(R, Spec);
-
-    CertCache Cache(/*MaxBytes=*/0);
-    VerifierConfig Cached = paramConfig(GetParam());
-    Cached.Cache = &Cache;
-
-    // Stock the parent's entries at a few radii (fresh verifications
-    // write through), so the slack consult has proofs to find.
-    for (uint32_t SeedRadius = 1; SeedRadius <= 4; ++SeedRadius)
-      PV.verify(X.data(), SeedRadius, Cached);
-
-    // Child: one or two rows removed at random positions.
-    Dataset Child = Parent;
-    Child.markLineage();
-    unsigned Removals = 1 + static_cast<unsigned>(R.uniformInt(2));
-    for (unsigned I = 0; I < Removals && Child.numRows() > 1; ++I)
-      Child.removeRow(
-          static_cast<unsigned>(R.uniformInt(Child.numRows())));
-    Verifier CV(Child);
-    CV.setLineage(lineageSinceMark(PV.fingerprint(), Child));
-
-    for (uint32_t N = 1; N <= 3; ++N) {
-      Certificate Served = CV.verify(X.data(), N, Cached);
-      Certificate Reference = CV.verify(X.data(), N, Fresh);
-      if (!deterministic(Served.Kind) || !deterministic(Reference.Kind))
-        continue;
-      if (Served.Kind == VerdictKind::Robust) {
-        EXPECT_EQ(Reference.Kind, VerdictKind::Robust)
-            << "unsound slack serve: trial " << Trial << " removals "
-            << Removals << " budget " << N << " served radius "
-            << Served.CertifiedRadius;
-        // Flip queries must never be answered from the parent's widened
-        // radius — the slack gate is Removal-only. In this ascending
-        // loop the only Robust sources a flip query has are its own
-        // fresh runs, so a wider served radius can only be a leak.
-        if (GetParam().second == ThreatModelKind::LabelFlip) {
-          EXPECT_EQ(Served.CertifiedRadius, N)
-              << "parent certificate slack-served a flip query";
-        }
-      }
-    }
-  }
-}
-
-// The wire is not a third serving rule, but it is a third place to get
+// The wire is not a second serving rule, but it is a second place to get
 // one wrong: the network tier decodes, admits, submits ticketed (its own
 // token, deadline, completion callback), and re-encodes every
 // certificate. Random traffic through a real socket — repeats (the
@@ -271,83 +210,6 @@ TEST_P(ServingSoundnessProperty, WireServedRobustImpliesFreshRobust) {
           << Response.Cert.CertifiedRadius;
     }
     Net.stop();
-  }
-}
-
-// Same property with the delta-slack path in the loop: the server is
-// built on a child dataset whose lineage points at a parent whose
-// certificates pre-stock the backing store. A wire Robust that was
-// slack-served from the parent's widened radius must still be provable
-// fresh on the child.
-TEST_P(ServingSoundnessProperty, WireSlackServedRobustImpliesFreshRobust) {
-  Rng R(0x3E7DE17A + static_cast<uint64_t>(GetParam().first) * 7 +
-        static_cast<uint64_t>(GetParam().second) * 131);
-  RandomDatasetSpec Spec;
-  Spec.MinRows = 6; // Leave rows to remove.
-  VerifierConfig Fresh = paramConfig(GetParam());
-
-  for (int Trial = 0; Trial < 4; ++Trial) {
-    Dataset Parent = makeRandomDataset(R, Spec);
-    Verifier PV(Parent);
-    std::vector<float> X = makeRandomQuery(R, Spec);
-
-    // Parent proofs at radii 1-4, written through into the store the
-    // child server will be backed by.
-    CertCache Store(/*MaxBytes=*/0);
-    VerifierConfig Stock = paramConfig(GetParam());
-    Stock.Cache = &Store;
-    for (uint32_t SeedRadius = 1; SeedRadius <= 4; ++SeedRadius)
-      PV.verify(X.data(), SeedRadius, Stock);
-
-    Dataset Child = Parent;
-    Child.markLineage();
-    unsigned Removals = 1 + static_cast<unsigned>(R.uniformInt(2));
-    for (unsigned I = 0; I < Removals && Child.numRows() > 1; ++I)
-      Child.removeRow(
-          static_cast<unsigned>(R.uniformInt(Child.numRows())));
-
-    CertServerConfig Config;
-    Config.Query = paramConfig(GetParam());
-    Config.Jobs = 2;
-    Config.Store = &Store;
-    Config.Lineage = lineageSinceMark(PV.fingerprint(), Child);
-    CertServer Server(Child, Config);
-    NetServer Net(Server, NetServerConfig());
-    std::string Error;
-    ASSERT_TRUE(Net.start(Error)) << Error;
-
-    testharness::NetClient Client(Net.port());
-    ASSERT_TRUE(Client.connected());
-    // Strictly sequential, ascending budgets — exactly the inline
-    // test's discipline, so at budget N no same-fingerprint proof wider
-    // than N exists yet and the flip-leak check below stays meaningful.
-    for (uint64_t Tag = 1; Tag <= 3; ++Tag) {
-      ASSERT_TRUE(Client.send(testharness::makeRequest(
-          Tag, static_cast<uint32_t>(Tag), X)));
-      NetResponse Response;
-      ASSERT_TRUE(Client.recvResponse(Response));
-      ASSERT_EQ(Response.Status, NetStatus::Ok);
-      ASSERT_EQ(Response.Tag, Tag);
-      uint32_t N = static_cast<uint32_t>(Response.Tag);
-      if (Response.Cert.Kind != VerdictKind::Robust)
-        continue;
-      Certificate Reference = Server.verifier().verify(X.data(), N, Fresh);
-      if (!deterministic(Reference.Kind))
-        continue;
-      EXPECT_EQ(Reference.Kind, VerdictKind::Robust)
-          << "unsound wire slack serve: trial " << Trial << " removals "
-          << Removals << " budget " << N << " served radius "
-          << Response.Cert.CertifiedRadius;
-      // Flip cells must never see the parent's widened radius (the
-      // slack gate is Removal-only) — same leak check as inline.
-      if (GetParam().second == ThreatModelKind::LabelFlip) {
-        EXPECT_EQ(Response.Cert.CertifiedRadius, N)
-            << "parent certificate slack-served a flip query over wire";
-      }
-    }
-    Net.stop();
-    // stop() drops pending background re-verifications by design; the
-    // server itself tears down next, before the stack-owned Store.
   }
 }
 

@@ -7,9 +7,11 @@ and fails the job when any gated benchmark slowed down by more than the
 tolerance (default 25%). Output is a GitHub-flavoured markdown table
 suitable for `$GITHUB_STEP_SUMMARY`.
 
-Gated benchmarks (the hot paths the recent PRs built): the cache-hit
-path, the frontier fan-out, the bestSplit# sharding, and the disk-store
-restart path. Comparison uses *cpu_time* — wall clock on shared runners
+Gated benchmarks are the families in `DEFAULT_PATTERNS`: the cache-hit
+path, the frontier fan-out, the bestSplit# sharding, the disk-store
+restart path, the SoA kernels with the concrete/abstract bestSplit,
+restrict and Gini benches they feed, and the label-flip verify.
+Comparison uses *cpu_time* — wall clock on shared runners
 is hostage to the neighbours, and every gated path's win is
 CPU-visible — normalized through each entry's `time_unit`.
 
@@ -41,7 +43,6 @@ DEFAULT_PATTERNS = [
     r"^BM_VerifyFrontierJobs",
     r"^BM_BestSplitJobs",
     r"^BM_DiskStoreHitRate",
-    r"^BM_DeltaHitRate",
     r"^BM_Kernel",
     r"^BM_ConcreteBestSplit",
     r"^BM_AbstractBestSplit",
@@ -100,8 +101,7 @@ def main():
     parser.add_argument("--pattern", action="append", default=None,
                         metavar="REGEX",
                         help="gated benchmark name regex (repeatable; "
-                             "default: cache-hit / frontier / split / "
-                             "disk-store families)")
+                             "default: the gated families listed above)")
     parser.add_argument("--inject-slowdown", type=float, default=1.0,
                         metavar="FACTOR",
                         help="multiply current times by FACTOR (gate "
