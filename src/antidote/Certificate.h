@@ -39,6 +39,17 @@ enum class VerdictKind : uint8_t {
 
 const char *verdictKindName(VerdictKind Kind);
 
+/// The one whitelist of verdicts a store may hold. Robust/Unknown are
+/// pure functions of (training set, x, n, config); ResourceLimit is too
+/// (disjunct and state-byte accounting is bit-identical across thread
+/// counts). Timeout depends on wall clock and Cancelled on an external
+/// controller, so storing either could serve a verdict a re-run would
+/// contradict.
+inline bool isDeterministicVerdict(VerdictKind Kind) {
+  return Kind == VerdictKind::Robust || Kind == VerdictKind::Unknown ||
+         Kind == VerdictKind::ResourceLimit;
+}
+
 /// The (attempted) proof of poisoning robustness for one input.
 struct Certificate {
   VerdictKind Kind = VerdictKind::Unknown;

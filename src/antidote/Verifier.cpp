@@ -49,21 +49,6 @@ TraceResult Verifier::trace(const float *X, unsigned Depth) const {
   return runDTrace(Ctx, AllTrainRows, X, Depth);
 }
 
-namespace {
-
-/// Only verdicts a fresh run is guaranteed to reproduce may be cached.
-/// Robust/Unknown are pure functions of (training set, x, n, config);
-/// ResourceLimit is too (disjunct and state-byte accounting is
-/// bit-identical across thread counts). Timeout depends on wall clock
-/// and Cancelled on an external controller, so caching either could
-/// serve a verdict a re-run would contradict.
-bool isCacheableVerdict(VerdictKind Kind) {
-  return Kind == VerdictKind::Robust || Kind == VerdictKind::Unknown ||
-         Kind == VerdictKind::ResourceLimit;
-}
-
-} // namespace
-
 Certificate Verifier::verify(const float *X, uint32_t PoisoningBudget,
                              const VerifierConfig &Config) const {
   if (Config.Cache) {
@@ -128,7 +113,7 @@ Certificate Verifier::verify(const float *X, uint32_t PoisoningBudget,
     break;
   }
 
-  if (Config.Cache && isCacheableVerdict(Cert.Kind))
+  if (Config.Cache && isDeterministicVerdict(Cert.Kind))
     Config.Cache->store(Fingerprint, X, Train->numFeatures(),
                         PoisoningBudget, Config, Cert);
   return Cert;

@@ -42,9 +42,9 @@
 ///    the "0 disables the cap" convention of the other `ResourceLimits`
 ///    knobs.
 ///  - **Concurrent.** `lookup`/`store` run from batch-pool workers inside
-///    `Verifier::verifyBatch`; one internal mutex serializes them (the
-///    guarded work is a hash probe plus a splice — microseconds against
-///    verification's milliseconds-to-hours).
+///    `Verifier::verifyBatch` and from `CertServer` workers; one internal
+///    mutex serializes them (the guarded work is a hash probe plus a
+///    splice — microseconds against verification's milliseconds-to-hours).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,8 +8,8 @@
 /// \file
 /// The long-lived serving subsystem the ROADMAP's north star asks for:
 /// one warm `Verifier` (per-dataset acceleration structures built once),
-/// one shared batch `ThreadPool`, one shared in-query frontier/split pool,
-/// and one `CertificateStore`, behind a request queue so many clients can
+/// `Jobs` worker threads, one shared in-query frontier/split pool, and
+/// one `CertificateStore`, behind a request queue so many clients can
 /// stream queries at a single process. The server is deliberately
 /// store-agnostic: it holds exactly one abstract `CertificateStore`
 /// pointer and never names a concrete tier — the wiring layer composes
@@ -18,23 +18,20 @@
 ///
 /// Request path:
 ///
-///   submit(x, n) ──▶ queue ──▶ dispatcher thread ──▶ batcher
-///        │                        (groups up to MaxBatch pending
-///        │                         requests by poisoning budget n)
-///        │                                 │
-///        ▼                                 ▼
-///   std::future ◀── promise ◀── Verifier::verifyBatch on the batch
-///                               pool; each query consults/feeds the
-///                               CertCache from its worker thread
+///   submit(x, n) ──▶ queue ──▶ Jobs workers ──▶ Verifier::verify
+///        │                  (each pops one      (store consulted and
+///        │                   request at a time)  fed inside verify)
+///        ▼                                              │
+///   std::future ◀── promise + completion callback ◀─────┘
 ///
-/// The batcher exists for the same reason `verifyBatch` does: queries
-/// are independent, so folding whatever has queued up while the previous
-/// batch ran into one fan-out keeps every pool worker busy without any
-/// per-query thread churn. Caching happens *inside* `Verifier::verify`
-/// (the store is wired into the server's `VerifierConfig`), so a repeated
-/// query costs one store probe on a worker instead of a verification, and
-/// the served certificate is byte-identical to the fresh one that seeded
-/// the entry (see serving/CertCache.h for the invariants).
+/// Queries are independent — each is its own abstract training run over
+/// ∆n(T) — so a worker takes the next queued request the moment it is
+/// free, and nothing waits behind a neighbour's verification. Caching
+/// happens *inside* `Verifier::verify` (the store is wired into the
+/// server's `VerifierConfig`), so a repeated query costs one store probe
+/// on a worker instead of a verification, and the served certificate is
+/// byte-identical to the fresh one that seeded the entry (see
+/// serving/CertCache.h for the invariants).
 ///
 /// Shutdown: `stop()` (and the destructor) waits for the queue to drain —
 /// every accepted future is always fulfilled. Submissions after `stop`
@@ -65,19 +62,13 @@ struct CertServerConfig {
   /// domain, per-query `Limits` (whose `MaxCacheBytes` also sizes the
   /// server's cache), and the in-query FrontierJobs/SplitJobs knobs.
   /// `FrontierPool`, `Cache`, and `Cancel` are overwritten by the server
-  /// with its own long-lived instances (`Cancel` is the `abort()` lever).
+  /// with its own long-lived pool and store and each request's own
+  /// cancellation token.
   VerifierConfig Query;
 
-  /// Worker threads for the batch fan-out across queued requests
-  /// (0 = one per hardware thread, 1 = the dispatcher thread alone).
+  /// Worker threads, each serving one queued request at a time
+  /// (`resolveJobs`: 0 = one per hardware thread).
   unsigned Jobs = 0;
-
-  /// Most requests one dispatch folds into a single `verifyBatch`. Keeps
-  /// tail latency bounded under a flood: a huge backlog is served as
-  /// several batches, each completing (and fulfilling its futures) on
-  /// its own. 0 = unbounded (one batch per backlog), matching the
-  /// codebase's "0 disables the cap" convention.
-  size_t MaxBatch = 64;
 
   /// The certificate store every verification consults and feeds —
   /// externally owned (it may outlive the server or be shared by
@@ -86,20 +77,19 @@ struct CertServerConfig {
   /// composing both, or absent (null = every query verifies fresh).
   /// Composition is the wiring layer's job, not the server's.
   CertificateStore *Store = nullptr;
-
 };
 
 /// A long-lived certificate server for one training set.
 ///
 /// Thread-safety: `submit`, `probeStore`, and `pendingRequests` may be
 /// called from any number of client threads. The returned future is
-/// fulfilled by the dispatcher (or a batch-pool worker's result folded by
-/// it); `get()` blocks until then.
+/// fulfilled by the worker that served the request; `get()` blocks until
+/// then.
 class CertServer {
 public:
   CertServer(const Dataset &Train, const CertServerConfig &Config);
 
-  /// Stops accepting, drains the queue, joins the dispatcher.
+  /// Stops accepting, drains the queue, joins the workers.
   ~CertServer();
 
   CertServer(const CertServer &) = delete;
@@ -113,11 +103,11 @@ public:
     /// server-wide `Limits.TimeoutSeconds`, which a `ResourceMeter`
     /// only starts once verification begins. A request still queued
     /// when its deadline passes is answered `Timeout` without
-    /// verifying; one dispatched in time verifies under
+    /// verifying; one a worker takes in time verifies under
     /// min(server timeout, remaining deadline). <= 0 = no deadline.
     double DeadlineSeconds = 0.0;
 
-    /// Called from the serving thread immediately after the future is
+    /// Called from the serving worker immediately after the future is
     /// fulfilled, with the same certificate — the completion signal
     /// for event-loop callers that cannot block on futures. Must not
     /// block; must not call back into this server's submit/cancel
@@ -131,21 +121,22 @@ public:
   /// Enqueues one query. \p X must hold exactly
   /// `verifier().trainingSet().numFeatures()` values (the CLI front end
   /// validates before submitting; this is the programmatic API's
-  /// contract). The future is always eventually fulfilled.
+  /// contract). The future is always eventually fulfilled. Forwards to
+  /// the ticketed overload with default options.
   std::future<Certificate> submit(std::vector<float> X,
                                   uint32_t PoisoningBudget);
 
   /// The ticketed overload: like `submit`, plus per-request deadline
-  /// and completion callback, and a ticket (never 0) for
-  /// `cancelRequest`. Each ticketed request verifies under its own
-  /// `CancellationToken`, so one client's cancellation never stops a
-  /// neighbour's identical query.
+  /// and completion callback, and the request's ticket for
+  /// `cancelRequest` (0 when refused after `stop`). Every request
+  /// verifies under its own `CancellationToken`, so one client's
+  /// cancellation never stops a neighbour's identical query.
   std::future<Certificate> submit(std::vector<float> X,
                                   uint32_t PoisoningBudget,
                                   SubmitOptions Options,
                                   uint64_t &TicketOut);
 
-  /// Abandons a ticketed request — the lever a network front end pulls
+  /// Abandons a request — the lever a network front end pulls
   /// when the client disconnects mid-flight. A still-queued request is
   /// removed immediately (releasing its queue slot — admission control
   /// upstream watches `pendingRequests`) and fulfilled as `Cancelled`;
@@ -178,14 +169,14 @@ public:
   /// `CertificateStore::replication`.
   CertificateStore *store() const { return Config.Store; }
 
-  /// Requests not yet handed to a batch (for monitoring/backpressure).
+  /// Requests queued or being served (for monitoring/backpressure).
   size_t pendingRequests() const;
 
   /// Blocks until every already-submitted request has been served.
   void drain();
 
   /// Stops accepting new work, serves everything already queued, joins
-  /// the dispatcher. Idempotent; the destructor calls it.
+  /// the workers. Idempotent; the destructor calls it.
   void stop();
 
   /// `stop()` for error paths that must exit promptly: additionally
@@ -201,9 +192,7 @@ private:
     std::vector<float> X;
     uint32_t PoisoningBudget = 0;
     std::promise<Certificate> Promise;
-
-    /// Ticketed-submit extras; defaulted (inert) for the plain path.
-    uint64_t Ticket = 0; ///< 0 = not cancellable.
+    uint64_t Ticket = 0;
     bool HasDeadline = false;
     std::chrono::steady_clock::time_point Deadline{};
     /// Per-request cancellation, shared with `LiveTokens` so
@@ -217,23 +206,24 @@ private:
   /// order — the callback may inspect the future's side effects).
   static void fulfill(Request &R, const Certificate &Cert);
 
-  /// Shared enqueue tail of both submit overloads. \p TicketOut non-null
-  /// marks the request ticketed: it gets a ticket, its own cancellation
-  /// token, and a `LiveTokens` entry.
-  std::future<Certificate> enqueue(Request R, uint64_t *TicketOut);
+  /// The verdict-only certificate for a request answered without
+  /// verifying (\p Kind is `Cancelled` or `Timeout`).
+  Certificate unserved(VerdictKind Kind, uint32_t PoisoningBudget) const;
 
-  /// Fulfills a request leaving `serveBatch` and drops its
-  /// `LiveTokens` entry (after which `cancelRequest` returns false).
-  void finish(Request &R, const Certificate &Cert);
+  /// One worker's life: pop a request, `serve` it, repeat until stopped
+  /// with the queue empty.
+  void workerLoop();
 
-  void dispatchLoop();
-  void serveBatch(std::vector<Request> Batch);
+  /// Turns one dequeued request into its certificate: an expired
+  /// deadline answers `Timeout`, anything else verifies under the
+  /// request's own token and deadline-clamped limits. Drops the
+  /// `LiveTokens` entry (after which `cancelRequest` returns false),
+  /// then fulfills.
+  void serve(Request &R);
 
   CertServerConfig Config;
   Verifier V;
-  std::unique_ptr<ThreadPool> BatchPool;
   std::unique_ptr<ThreadPool> FrontierPool;
-  CancellationToken AbortToken; ///< Cancelled by `abort()` only.
 
   mutable std::mutex Mutex;
   std::condition_variable QueueChanged; ///< Signalled on submit/stop.
@@ -241,15 +231,13 @@ private:
   std::deque<Request> Queue;
   size_t InFlight = 0; ///< Requests taken off the queue, not yet served.
   uint64_t NextTicket = 1; ///< Ticket source; 0 is reserved for "none".
-  /// Every accepted-but-unserved ticketed request's token, queued or
-  /// in-flight, so `cancelRequest` (after the request left the queue)
-  /// and `abort` (which must reach per-request tokens — ticketed
-  /// verifications run under their own token, not `AbortToken`) can
-  /// cancel them. Erased when the request is fulfilled.
+  /// Every accepted-but-unserved request's token, queued or in flight,
+  /// so `cancelRequest` (after the request left the queue) and `abort`
+  /// can cancel it. Erased when the request is fulfilled.
   std::unordered_map<uint64_t, std::shared_ptr<CancellationToken>>
       LiveTokens;
   bool Stopping = false;
-  std::thread Dispatcher;
+  std::vector<std::thread> Workers;
 };
 
 } // namespace antidote

@@ -180,7 +180,8 @@ public:
 ///    controller-dependent ones (Timeout / Cancelled) are never cached,
 ///    so a hit can never replay a verdict a fresh run might not
 ///    reproduce.
-///  - Both calls may run concurrently from batch-pool workers.
+///  - Both calls may run concurrently from batch-pool or `CertServer`
+///    workers.
 class CertificateStore {
 public:
   virtual ~CertificateStore() = default;

@@ -99,15 +99,6 @@ struct ByteReader {
   }
 };
 
-/// Only deterministic verdicts may be persisted (same discipline as the
-/// RAM tier); `Verifier` already filters on the write path, and
-/// `readPayload` applies the same whitelist on the read path, so the
-/// two sides can never disagree about what belongs in a store.
-bool isPersistableVerdict(VerdictKind Kind) {
-  return Kind == VerdictKind::Robust || Kind == VerdictKind::Unknown ||
-         Kind == VerdictKind::ResourceLimit;
-}
-
 float floatFromBits(uint32_t Bits) {
   float V;
   std::memcpy(&V, &Bits, sizeof(V));
@@ -198,13 +189,13 @@ bool readPayload(const uint8_t *Payload, size_t PayloadBytes, StoreKey &K,
   Cert.CertifiedRadius = R.u32();
   // The whole payload must be consumed (trailing bytes mean a format
   // skew the version header should have caught), and only verdicts the
-  // write side may persist are accepted back — the read-side twin of
-  // `isPersistableVerdict`, so even a record appended by buggy or
+  // write side may persist are accepted back — `isDeterministicVerdict`
+  // on the read side too, so even a record appended by buggy or
   // foreign tooling can never replay a Timeout/Cancelled a fresh run
   // might contradict (and compaction drops it rather than copying it
   // forward).
   return !R.Failed && R.Pos == PayloadBytes &&
-         isPersistableVerdict(Cert.Kind);
+         isDeterministicVerdict(Cert.Kind);
 }
 
 std::vector<uint8_t> serializeRecord(const StoreKey &K,
@@ -913,7 +904,7 @@ void DiskCertStore::store(const DatasetFingerprint &Data, const float *X,
                           unsigned NumFeatures, uint32_t PoisoningBudget,
                           const VerifierConfig &Config,
                           const Certificate &Cert) {
-  if (Options.ReadOnly || !isPersistableVerdict(Cert.Kind)) {
+  if (Options.ReadOnly || !isDeterministicVerdict(Cert.Kind)) {
     std::lock_guard<std::mutex> Guard(Mutex);
     ++Stats.Declined;
     return;
@@ -1110,8 +1101,8 @@ DiskCertStore::serveReplicationPoll(const PollRequest &Poll) {
 
   uint32_t MaxRecords =
       std::min<uint32_t>(std::max<uint32_t>(Poll.MaxRecords, 1), 512);
-  constexpr size_t MaxBatchBytes = 256u << 10;
-  size_t BatchBytes = 0;
+  constexpr size_t MaxDeltaBytes = 256u << 10;
+  size_t DeltaBytes = 0;
   for (;;) {
     const SegmentState &S = Seg->second;
     if (Offset >= S.End) {
@@ -1127,7 +1118,7 @@ DiskCertStore::serveReplicationPoll(const PollRequest &Poll) {
       Offset = SegmentHeaderBytes;
       continue;
     }
-    if (D.Records.size() >= MaxRecords || BatchBytes >= MaxBatchBytes)
+    if (D.Records.size() >= MaxRecords || DeltaBytes >= MaxDeltaBytes)
       break;
     // Offset is a walked boundary, so the record ends at the next one.
     auto Start = std::lower_bound(S.Starts.begin(), S.Starts.end(), Offset);
@@ -1145,7 +1136,7 @@ DiskCertStore::serveReplicationPoll(const PollRequest &Poll) {
     // cursor still moves past it.
     Offset = RecordEnd;
     if (Ship) {
-      BatchBytes += Record.size();
+      DeltaBytes += Record.size();
       D.Records.push_back(std::move(Record));
     }
   }

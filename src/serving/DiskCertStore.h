@@ -215,9 +215,6 @@ public:
   ApplyResult applyReplicatedRecord(const uint8_t *Data,
                                     size_t Size) override;
 
-  const std::string &directory() const { return Dir; }
-  bool readOnly() const { return Options.ReadOnly; }
-
   /// Directory-wide rewrite under the exclusive lock: re-lists and
   /// scans every segment (sibling processes may have appended records
   /// this handle never saw) and copies every intact, deduplicated

@@ -17,7 +17,7 @@
 ///
 ///   u32 magic     'Q''T''N''A' (requests) / 'R''T''N''A' (responses),
 ///                 i.e. the bytes "ANTQ"/"ANTR" on the wire
-///   u32 length    payload bytes that follow (bounded by MaxFrameBytes)
+///   u32 length    payload bytes that follow (bounded by NetMaxFrameBytes)
 ///   ...payload
 ///
 /// Request payload:
@@ -29,7 +29,7 @@
 ///   u32 deadlineMillis  client deadline from *server receipt*, queue
 ///                       wait included; 0 = none. Propagated into
 ///                       `ResourceLimits::TimeoutSeconds`, and a request
-///                       that expires before dispatch answers
+///                       that expires before a worker takes it answers
 ///                       `timeout` without verifying.
 ///   u32 numFeatures     must equal the training set's arity
 ///   f32 × numFeatures   query point (bit patterns, BitHash policy)
@@ -56,7 +56,7 @@
 ///   u32 dominatingClass, u64 numTerminals, u64 peakDisjuncts,
 ///   u64 peakStateBytes, u32 bestSplitCalls, f64 seconds
 ///
-/// Framing errors (wrong magic, length above the server's MaxFrameBytes,
+/// Framing errors (wrong magic, length above NetMaxFrameBytes,
 /// truncated payload at EOF) are not recoverable within a connection —
 /// the stream position is untrustworthy — so the policy at both ends is:
 /// close the connection, keep the process. tests/NetServerTests.cpp pins

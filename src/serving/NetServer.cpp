@@ -139,8 +139,7 @@ void NetServer::acceptClients() {
     ::setsockopt(Fd.get(), IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
     uint64_t Id = NextConnId++;
     int RawFd = Fd.get();
-    Conns.emplace(Id, Conn(std::move(Fd), Config.MaxFrameBytes,
-                           Config.ClientBurst,
+    Conns.emplace(Id, Conn(std::move(Fd), Config.ClientBurst,
                            std::chrono::steady_clock::now()));
     Poll.add(RawFd, Id);
     NumAccepted.fetch_add(1, std::memory_order_relaxed);
@@ -269,10 +268,11 @@ void NetServer::handleRequest(uint64_t ConnId, Conn &C,
   Options.DeadlineSeconds = Request.DeadlineMillis / 1000.0;
   uint64_t Tag = Request.Tag;
   Options.Completion = [this, ConnId, Tag](const Certificate &Cert) {
-    {
-      std::lock_guard<std::mutex> Guard(CompletionMutex);
-      Completions.push_back(Completion{ConnId, Tag, Cert});
-    }
+    // Signal under the lock: once the loop can see this completion it
+    // may be the last one a stopping server waits for, after which the
+    // NetServer (and its eventfd) may be destroyed.
+    std::lock_guard<std::mutex> Guard(CompletionMutex);
+    Completions.push_back(Completion{ConnId, Tag, Cert});
     Wake.signal();
   };
   uint64_t Ticket = 0;

@@ -11,7 +11,7 @@
 /// `CertServer`, speaking the length-prefixed protocol of
 /// serving/NetProtocol.h. The loop never verifies anything itself — it
 /// frames, admits, submits, and writes back; all verification runs on
-/// the CertServer's pools.
+/// the CertServer's workers.
 ///
 ///   clients ──▶ epoll loop ──▶ admission control ──▶ CertServer::submit
 ///                  ▲                  │                  (ticketed)
@@ -19,7 +19,7 @@
 ///                  │                  │   probe; hit ⇒ Ok/ShedProbe,
 ///                  │                  │   miss ⇒ explicit Shed
 ///                  │                  ▼
-///               WakeFd ◀── completion callback (serving thread)
+///               WakeFd ◀── completion callback (CertServer worker)
 ///
 /// ## Admission control
 ///
@@ -101,9 +101,6 @@ struct NetServerConfig {
   /// Token-bucket capacity: how many requests a client may burst before
   /// pacing bites. Also the bucket's starting balance.
   double ClientBurst = 8.0;
-
-  /// Tighter per-frame payload bound; 0 = the protocol default.
-  uint32_t MaxFrameBytes = 0;
 };
 
 /// Monotonic ops/test counters. Snapshot via `NetServer::stats()`; the
@@ -166,15 +163,15 @@ private:
     /// Dual-magic reader: one connection may interleave query frames
     /// ("ANTQ") and replication polls ("ANTP") — the loop dispatches by
     /// each frame's magic.
-    explicit Conn(FdHandle Fd, uint32_t MaxFrameBytes, double Burst,
+    explicit Conn(FdHandle Fd, double Burst,
                   std::chrono::steady_clock::time_point Now)
         : Fd(std::move(Fd)),
-          In(NetRequestMagic, NetReplicationPollMagic, MaxFrameBytes),
+          In(NetRequestMagic, NetReplicationPollMagic, NetMaxFrameBytes),
           Tokens(Burst), LastRefill(Now) {}
   };
 
-  /// One fulfilled verification travelling from the CertServer's
-  /// serving thread back to the loop.
+  /// One fulfilled verification travelling from a CertServer worker
+  /// back to the loop.
   struct Completion {
     uint64_t ConnId = 0;
     uint64_t Tag = 0;

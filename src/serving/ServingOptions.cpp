@@ -44,7 +44,7 @@ struct OptRow {
 
 const OptRow Rows[] = {
     {"--jobs", "ANTIDOTE_JOBS", OptKind::Unsigned, UINT_MAX, 0.0,
-     "all cores", "N", "1", "worker threads for batch/serve modes",
+     "all cores", "N", "1", "worker threads for batch/serve/listen modes",
      [](ServingOptions &O, uint64_t U, double, const char *) {
        O.Jobs = static_cast<unsigned>(U);
      }},

@@ -11,7 +11,7 @@
 /// readback idiom (bind port 0, ask the kernel which port it picked — the
 /// only reliable way to run many test servers on one CI machine without
 /// bind races; see KNOWN_FAILURES.md), a minimal `epoll` wrapper, and an
-/// `eventfd`-backed waker so non-epoll threads (batch-pool workers
+/// `eventfd`-backed waker so non-epoll threads (`CertServer` workers
 /// completing verifications) can nudge the event loop.
 ///
 /// Everything here is Linux-flavored (`epoll`, `eventfd`) like the rest of

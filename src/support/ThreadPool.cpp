@@ -295,10 +295,13 @@ void OrderedFanout::cancelRemaining() {
   S->HorizonAdvanced.notify_all();
 }
 
+unsigned antidote::resolveJobs(unsigned Jobs) {
+  unsigned HW = ThreadPool::hardwareConcurrency();
+  return Jobs == 0 ? HW : std::min(Jobs, 16u * HW);
+}
+
 std::unique_ptr<ThreadPool> antidote::makeVerificationPool(unsigned Jobs) {
-  if (Jobs == 0)
-    Jobs = ThreadPool::hardwareConcurrency();
-  Jobs = std::min(Jobs, 16u * ThreadPool::hardwareConcurrency());
+  Jobs = resolveJobs(Jobs);
   if (Jobs <= 1)
     return nullptr;
   return std::make_unique<ThreadPool>(Jobs - 1);
@@ -306,8 +309,5 @@ std::unique_ptr<ThreadPool> antidote::makeVerificationPool(unsigned Jobs) {
 
 unsigned antidote::sharedFanoutJobs(unsigned FrontierJobs,
                                     unsigned SplitJobs) {
-  unsigned HW = ThreadPool::hardwareConcurrency();
-  unsigned Frontier = FrontierJobs == 0 ? HW : FrontierJobs;
-  unsigned Split = SplitJobs == 0 ? HW : SplitJobs;
-  return std::max(Frontier, Split);
+  return std::max(resolveJobs(FrontierJobs), resolveJobs(SplitJobs));
 }

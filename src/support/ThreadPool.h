@@ -167,16 +167,20 @@ private:
   std::shared_ptr<State> S;
 };
 
-/// The one policy for turning a user-facing Jobs knob into a pool:
-/// 0 means one executor per hardware thread, requests are clamped to 16x
-/// the hardware threads (guarding against wrapped/absurd values), and the
-/// pool gets Jobs-1 workers because the calling thread participates in
-/// `parallelFor`. Returns null for Jobs == 1 (strictly serial).
+/// The one policy for turning a user-facing Jobs knob into an executor
+/// count: 0 means one executor per hardware thread, and requests are
+/// clamped to 16x the hardware threads (guarding against wrapped/absurd
+/// values).
+unsigned resolveJobs(unsigned Jobs);
+
+/// A pool for `resolveJobs(Jobs)` executors: Jobs-1 workers, because the
+/// calling thread participates in `parallelFor`. Returns null when that
+/// resolves to 1 (strictly serial).
 std::unique_ptr<ThreadPool> makeVerificationPool(unsigned Jobs);
 
 /// Resolves the executor count for the one pool shared by the frontier
 /// (`FrontierJobs`) and split (`SplitJobs`) fan-out levels of a DTrace#
-/// run: each knob resolves 0 to the hardware thread count, and the pool
+/// run: each knob resolves through `resolveJobs`, and the pool
 /// is sized for the *wider* level, not their product — the levels share
 /// executors (a transfer step's split shards run on the same workers as
 /// its sibling disjuncts), and `FrontierJobs x SplitJobs` exceeding the

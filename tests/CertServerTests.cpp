@@ -5,8 +5,9 @@
 //
 // The serving loop end to end: queued requests come back correct and in
 // submission correspondence, repeated traffic hits the cache, mixed
-// poisoning budgets batch correctly, shutdown drains, and many client
-// threads can hammer one server (the TSan CI job runs this suite).
+// poisoning budgets each get their own answer, shutdown drains, an idle
+// worker never waits behind a busy one, and many client threads can
+// hammer one server (the TSan CI job runs this suite).
 //
 //===----------------------------------------------------------------------===//
 
@@ -163,25 +164,6 @@ TEST(CertServerTest, SubmitAfterStopIsRefusedAsCancelled) {
   Server.stop();
 }
 
-TEST(CertServerTest, UnboundedMaxBatchStillMakesProgress) {
-  // MaxBatch 0 = unbounded (the codebase's "0 disables the cap"
-  // convention) — one dispatch takes the whole backlog; it must never
-  // degenerate into an empty-batch spin that starves the futures.
-  Dataset Train = figure2Dataset();
-  CertServerConfig Config = smallConfig();
-  Config.MaxBatch = 0;
-  CertServer Server(Train, Config);
-  std::vector<std::future<Certificate>> Futures;
-  for (int I = 0; I < 8; ++I)
-    Futures.push_back(Server.submit(point(0.5f + I), 1));
-  for (auto &F : Futures)
-    F.get();
-  // Promises resolve inside the dispatch, before the dispatcher books
-  // the batch as finished — drain for the bookkeeping to settle.
-  Server.drain();
-  EXPECT_EQ(Server.pendingRequests(), 0u);
-}
-
 TEST(CertServerTest, AbortResolvesEveryFutureWithoutFullVerification) {
   Dataset Train = figure2Dataset();
   CertServer Server(Train, smallConfig());
@@ -207,12 +189,11 @@ TEST(CertServerTest, ManyClientThreadsOneServer) {
   Dataset Train = figure2Dataset();
   CertCache Cache(/*MaxBytes=*/0);
   CertServerConfig Config = smallConfig();
-  Config.MaxBatch = 4; // Several dispatch rounds, not one mega-batch.
   Config.Store = &Cache;
   CertServer Server(Train, Config);
 
   // 4 client threads x 12 queries over 6 distinct points: submissions,
-  // batch workers, and cache accesses all interleave. Every future must
+  // server workers, and cache accesses all interleave. Every future must
   // resolve to the right verdict for its point.
   constexpr int NumClients = 4, PerClient = 12;
   std::vector<std::thread> Clients;
@@ -255,11 +236,11 @@ TEST(CertServerTest, ManyClientThreadsOneServer) {
 
 namespace {
 
-/// smallConfig() with \p Gate as the backing store and one-request
-/// batches, so one pinned verification occupies exactly one dispatch.
+/// smallConfig() with \p Gate as the backing store and a single worker,
+/// so one pinned verification occupies the only executor.
 CertServerConfig gatedConfig(testharness::GateStore &Gate) {
   CertServerConfig Config = smallConfig();
-  Config.MaxBatch = 1;
+  Config.Jobs = 1;
   Config.Store = &Gate;
   return Config;
 }
@@ -271,7 +252,7 @@ TEST(CertServerTest, CancelQueuedRequestReleasesItsSlotImmediately) {
   testharness::GateStore Gate;
   CertServer Server(Train, gatedConfig(Gate));
 
-  // A blocker pins the dispatcher inside the gate; two more queue.
+  // A blocker pins the only worker inside the gate; two more queue.
   Gate.close();
   CertServer::SubmitOptions None;
   uint64_t BlockerTicket = 0, T1 = 0, T2 = 0;
@@ -307,6 +288,31 @@ TEST(CertServerTest, CancelQueuedRequestReleasesItsSlotImmediately) {
   EXPECT_FALSE(Server.cancelRequest(T2)); // Already served.
 }
 
+TEST(CertServerTest, QueuedRequestStartsOnAnIdleWorker) {
+  // Queries are independent, so a request queued while one worker is
+  // busy must start on the idle one at once — never wait for its
+  // neighbour's verification to finish.
+  Dataset Train = figure2Dataset();
+  testharness::GateStore Gate;
+  CertServerConfig Config = smallConfig(); // Jobs = 2.
+  Config.Store = &Gate;
+  CertServer Server(Train, Config);
+
+  Gate.close();
+  struct OpenOnExit {
+    testharness::GateStore &Gate;
+    ~OpenOnExit() { Gate.open(); } // A closed gate would hang shutdown.
+  } Guard{Gate};
+  std::future<Certificate> A = Server.submit(point(20.0f), 3);
+  ASSERT_TRUE(Gate.waitForEntered(1));
+  std::future<Certificate> B = Server.submit(point(21.0f), 3);
+  EXPECT_TRUE(Gate.waitForEntered(2, 5000))
+      << "the second request waited behind the first on an idle server";
+  Gate.open();
+  EXPECT_NE(A.get().Kind, VerdictKind::Cancelled);
+  EXPECT_NE(B.get().Kind, VerdictKind::Cancelled);
+}
+
 TEST(CertServerTest, CompletionCallbackFiresExactlyOncePerRequest) {
   Dataset Train = figure2Dataset();
   CertServer Server(Train, smallConfig());
@@ -321,8 +327,8 @@ TEST(CertServerTest, CompletionCallbackFiresExactlyOncePerRequest) {
   std::future<Certificate> F = Server.submit(point(9.5f), 2, Options, Ticket);
   EXPECT_NE(Ticket, 0u);
   F.get();
-  // The callback runs right after fulfillment, before the dispatcher
-  // books the batch as done — drain orders us after both.
+  // The callback runs right after fulfillment, before the worker books
+  // the request as done — drain orders us after both.
   Server.drain();
   EXPECT_EQ(Calls.load(), 1);
 

@@ -46,8 +46,8 @@ template <typename Fn> bool eventually(Fn Cond, int TimeoutMillis = 30000) {
   return true;
 }
 
-/// Server stack with admission knobs under test control. MaxBatch 1 so
-/// each gated verification pins exactly one dispatch. The store is the
+/// Server stack with admission knobs under test control. One worker, so
+/// a gated verification pins the only executor. The store is the
 /// production composition with the persistent tier swapped for the
 /// gate: a RAM cache in front (so warmed queries probe-serve while
 /// shedding) and the GateStore behind it pinning write-throughs.
@@ -64,8 +64,7 @@ struct ShedStack {
     Config.Query.Depth = 2;
     Config.Query.Domain = AbstractDomainKind::Disjuncts;
     Config.Query.Limits.TimeoutSeconds = 30.0;
-    Config.Jobs = 2;
-    Config.MaxBatch = 1;
+    Config.Jobs = 1;
     Config.Store = &Store;
     Server = std::make_unique<CertServer>(Train, Config);
     NetConfig.Port = 0;
@@ -249,7 +248,7 @@ TEST(NetShedTest, DeadlineStormDrainsAsTimeoutsAndServerStaysHealthy) {
   NetClient Client(Stack.port());
   ASSERT_TRUE(Client.connected());
 
-  // One blocker pins the dispatcher; five 30ms-deadline requests queue
+  // One blocker pins the worker; five 30ms-deadline requests queue
   // behind it and all expire while it holds the gate.
   Stack.Gate.close();
   ASSERT_TRUE(Client.send(makeRequest(0, 3, point(20.0f))));
@@ -268,7 +267,7 @@ TEST(NetShedTest, DeadlineStormDrainsAsTimeoutsAndServerStaysHealthy) {
     ASSERT_TRUE(Client.recvResponse(Response));
     ASSERT_EQ(Response.Status, NetStatus::Ok);
     if (Response.Tag >= 10) {
-      // Expired before dispatch: an honest Timeout, no verification
+      // Expired before a worker took it: an honest Timeout, no verification
       // spent on it, and emphatically not a Robust/Unknown claim.
       EXPECT_EQ(Response.Cert.Kind, VerdictKind::Timeout);
       ++NumTimeouts;
