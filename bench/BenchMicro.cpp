@@ -437,7 +437,7 @@ static void BM_DiskStoreHitRate(benchmark::State &State) {
                                   SeedConfig);
     }
   }
-  uint64_t Served = 0, DiskHits = 0;
+  uint64_t Served = 0, Hits = 0;
   for (auto _ : State) {
     std::unique_ptr<DiskCertStore> Restarted;
     if (Warm) {
@@ -456,10 +456,10 @@ static void BM_DiskStoreHitRate(benchmark::State &State) {
     benchmark::DoNotOptimize(Certs.data());
     Served += Certs.size();
     if (Restarted)
-      DiskHits += Restarted->stats().Hits;
+      Hits += Restarted->stats().Hits;
   }
   State.counters["disk_hit_rate"] =
-      Served ? static_cast<double>(DiskHits) / static_cast<double>(Served)
+      Served ? static_cast<double>(Hits) / static_cast<double>(Served)
              : 0.0;
 }
 BENCHMARK(BM_DiskStoreHitRate)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);

@@ -32,23 +32,16 @@ std::string StoreStats::summary() const {
       static_cast<unsigned long long>(LiveRecords),
       static_cast<unsigned long long>(LiveBytes));
   std::string Out(Buf, Len < 0 ? 0 : static_cast<size_t>(Len));
-  if (RamHits || DiskHits) {
-    Len = std::snprintf(Buf, sizeof(Buf), " ram_hits=%llu disk_hits=%llu",
-                        static_cast<unsigned long long>(RamHits),
-                        static_cast<unsigned long long>(DiskHits));
-    Out.append(Buf, Len < 0 ? 0 : static_cast<size_t>(Len));
-  }
   if (Disk) {
     Len = std::snprintf(
         Buf, sizeof(Buf),
         " segments=%llu corrupt=%llu stale=%llu compactions=%llu "
-        "retention_evicted=%llu refreshes=%llu",
+        "retention_evicted=%llu",
         static_cast<unsigned long long>(Segments),
         static_cast<unsigned long long>(CorruptSkipped),
         static_cast<unsigned long long>(StaleSegments),
         static_cast<unsigned long long>(Compactions),
-        static_cast<unsigned long long>(RetentionEvictedSegments),
-        static_cast<unsigned long long>(IndexRefreshes));
+        static_cast<unsigned long long>(RetentionEvictedSegments));
     Out.append(Buf, Len < 0 ? 0 : static_cast<size_t>(Len));
   }
   return Out;

@@ -50,13 +50,11 @@ struct StoreStats {
   uint64_t RangeHits = 0; ///< Served by the radius-range rule
                           ///< (serving/StoreKey.h `rangeServes`).
   uint64_t Misses = 0;    ///< Neither an exact nor a range record served.
-  uint64_t RamHits = 0;   ///< Tiered composition: RAM tier served.
-  uint64_t DiskHits = 0;  ///< Tiered composition: disk served (+promoted).
 
   // Write-path counters.
   uint64_t Stores = 0;             ///< Records this handle accepted.
   uint64_t DuplicatesDeclined = 0; ///< Stores skipped: key already present.
-  uint64_t Declined = 0;   ///< Stores refused (verdict / budget / read-only).
+  uint64_t Declined = 0;   ///< Stores refused (verdict / budget).
   uint64_t Evictions = 0;  ///< Entries dropped (LRU tail or retention).
 
   // Live footprint.
@@ -74,17 +72,15 @@ struct StoreStats {
   uint64_t CompactionRecordsDropped = 0;
   uint64_t RetentionEvictedSegments = 0; ///< Whole segments evicted by
                                          ///< the retention budget.
-  uint64_t IndexRefreshes = 0; ///< Refreshes that indexed sibling
-                               ///< writes (no reopen needed).
 
   /// One-line `key=value` rendering, stable for greps:
   /// "hits=2 range_hits=0 misses=1 stored=3 duplicates=0 declined=0
-  /// evicted=0 records=3 bytes=712". Tiered splits (`ram_hits=`/
-  /// `disk_hits=`) and the disk extras (`segments=` … `refreshes=`) are
-  /// appended only when the tier maintains them (`Disk`), so a RAM
-  /// cache's line stays short. Every front-end stats line is this text
-  /// behind a "cache: "/"disk: "/"store: " prefix — the CI smokes grep
-  /// it.
+  /// evicted=0 records=3 bytes=712". The disk extras (`segments=` …
+  /// `retention_evicted=`) are appended only when the tier maintains
+  /// them (`Disk`), so a RAM cache's line stays short and every line's
+  /// shape is fixed by its tier, never by its counts. Every front-end
+  /// stats line is this text behind a "cache: "/"disk: "/"store: "
+  /// prefix — the CI smokes grep it.
   std::string summary() const;
 };
 
@@ -141,7 +137,7 @@ public:
     Applied,   ///< Validated, appended, indexed.
     Duplicate, ///< Key already present — replays are no-ops.
     Corrupt,   ///< Failed the checksum/parse validation; skipped.
-    Declined,  ///< Valid but refused (read-only store, bad verdict).
+    Declined,  ///< Valid but not appended (an I/O failure).
   };
 
   /// Applies \p Size bytes of one serialized record (as shipped by
@@ -210,8 +206,9 @@ public:
     return lookup(Data, X, NumFeatures, PoisoningBudget, Config, Out);
   }
 
-  /// A consistent counter snapshot; the default (all-zero) suits test
-  /// doubles that count nothing.
+  /// A consistent counter snapshot; the default (all-zero) suits
+  /// compositions that keep no counts of their own (`TieredStore`: each
+  /// tier counts behind its own handle) and test doubles.
   virtual StoreStats stats() const { return {}; }
 
   /// The replication seam: non-null only for the disk tier (a tiered

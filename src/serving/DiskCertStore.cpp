@@ -242,9 +242,9 @@ struct SegmentWalk {
   uint64_t Corrupt = 0;  ///< Framed records that failed validation.
 };
 
-/// The one record walk behind every index scan (open, the lookup-miss
-/// refresh, the append path). \p Bytes holds \p Size bytes of a segment starting at the record
-/// boundary \p Base (a file offset). Invokes
+/// The record walk behind the open-time scan. \p Bytes holds \p Size
+/// bytes of a segment starting at the record boundary \p Base (a file
+/// offset). Invokes
 /// `Cb(Offset, RecordBytes, Key, Cert)` for every framed record, with
 /// \p Key null when the record fails validation (a checksum failure
 /// skips just that record — the next boundary is still known). A bad
@@ -368,57 +368,7 @@ bool writeAll(int Fd, const uint8_t *Data, size_t Size) {
   return true;
 }
 
-/// RAII `flock` holder; retried on EINTR. Callers must check
-/// `locked()` — proceeding without the lock would silently void the
-/// cross-process single-writer guarantee (e.g. ENOLCK on NFS, or a
-/// `ReadOnly` handle whose LockFd is -1 by design).
-/// `Blocking = false` tries `LOCK_NB` with a few short-sleep retries
-/// instead of waiting indefinitely — the append path uses it so a
-/// sibling's long compaction (seconds, lock held throughout) cannot
-/// stall this process's lookups behind the store mutex; contended
-/// appends decline, which `CertificateStore` explicitly permits.
-class FileLock {
-public:
-  explicit FileLock(int Fd, bool Blocking = true) : Fd(Fd) {
-    if (Fd < 0)
-      return;
-    int Rc;
-    if (Blocking) {
-      while ((Rc = ::flock(Fd, LOCK_EX)) != 0 && errno == EINTR) {
-      }
-      Locked = Rc == 0;
-      return;
-    }
-    // Normal appends hold the lock for microseconds, so a handful of
-    // millisecond retries rides out writer-writer contention while
-    // bailing quickly on a compaction.
-    for (int Attempt = 0; Attempt < 5; ++Attempt) {
-      while ((Rc = ::flock(Fd, LOCK_EX | LOCK_NB)) != 0 &&
-             errno == EINTR) {
-      }
-      if (Rc == 0) {
-        Locked = true;
-        return;
-      }
-      if (errno != EWOULDBLOCK)
-        return;
-      ::usleep(2000);
-    }
-  }
-  ~FileLock() {
-    if (Locked)
-      ::flock(Fd, LOCK_UN);
-  }
-
-  bool locked() const { return Locked; }
-
-private:
-  int Fd;
-  bool Locked = false;
-};
-
 } // namespace
-
 
 DiskCertStore::OpenResult DiskCertStore::open(const std::string &Dir,
                                               const DiskCertStoreOptions &Options) {
@@ -427,49 +377,46 @@ DiskCertStore::OpenResult DiskCertStore::open(const std::string &Dir,
     Result.Error = "certificate store directory must not be empty";
     return Result;
   }
-  if (Options.ReadOnly) {
-    // The flock downgrade: never create, never lock, never repair.
-    struct stat St;
-    if (::stat(Dir.c_str(), &St) != 0 || !S_ISDIR(St.st_mode)) {
-      Result.Error = "cannot open certificate store '" + Dir +
-                     "' read-only: not a directory";
-      return Result;
-    }
-  } else if (!makeDirs(Dir, Result.Error)) {
+  if (!makeDirs(Dir, Result.Error))
     return Result;
-  }
 
   std::unique_ptr<DiskCertStore> Store(new DiskCertStore(Dir, Options));
-  if (!Options.ReadOnly) {
-    std::string LockPath = Dir + "/LOCK";
-    Store->LockFd = ::open(LockPath.c_str(), O_CREAT | O_RDWR, 0644);
-    if (Store->LockFd < 0) {
-      Result.Error =
-          "cannot open certificate store '" + Dir + "': " + errnoString();
-      return Result;
-    }
+  std::string LockPath = Dir + "/LOCK";
+  Store->LockFd = ::open(LockPath.c_str(), O_CREAT | O_RDWR, 0644);
+  if (Store->LockFd < 0) {
+    Result.Error =
+        "cannot open certificate store '" + Dir + "': " + errnoString();
+    return Result;
   }
-  // (ReadOnly: LockFd stays -1, so every FileLock below fails closed —
-  // no tail repair, and store() declines.)
+  // Held until the handle is destroyed (or the process dies): nothing
+  // else writes this directory while this handle serves from it.
+  int Rc = 0;
+  while ((Rc = ::flock(Store->LockFd, LOCK_EX | LOCK_NB)) != 0 &&
+         errno == EINTR) {
+  }
+  if (Rc != 0) {
+    if (errno == EWOULDBLOCK)
+      Result.Error =
+          "certificate store '" + Dir + "' is in use by another process";
+    else
+      Result.Error =
+          "cannot lock certificate store '" + Dir + "': " + errnoString();
+    return Result;
+  }
   uint64_t TotalSegmentBytes = 0;
   if (!Store->loadLocked(Result.Error, TotalSegmentBytes))
     return Result;
 
-  // Auto-compaction: when the directory is mostly dead weight —
+  // Auto-compaction: when more than half the directory is dead weight —
   // stale-version segments after a format bump, corruption, piles of
   // duplicates — reclaim it now rather than serving from (and paying
   // the scan of) a junkyard forever. Dead bytes are everything scanned
   // but not indexed. Best effort: a failed compaction leaves the
   // just-built index serving, same as no trigger at all.
-  if (!Options.ReadOnly && Options.AutoCompactDeadFraction > 0 &&
-      TotalSegmentBytes > 0) {
-    uint64_t Live = Store->Stats.LiveBytes;
-    uint64_t Dead = TotalSegmentBytes > Live ? TotalSegmentBytes - Live : 0;
-    if (static_cast<double>(Dead) >
-        Options.AutoCompactDeadFraction *
-            static_cast<double>(TotalSegmentBytes))
-      Store->compact();
-  }
+  uint64_t Live = Store->Stats.LiveBytes;
+  uint64_t Dead = TotalSegmentBytes > Live ? TotalSegmentBytes - Live : 0;
+  if (Dead > TotalSegmentBytes / 2)
+    Store->compact();
   // The directory may already exceed the retention budget (the budget
   // may have shrunk since the last run).
   Store->applyRetentionLocked();
@@ -503,145 +450,73 @@ std::string DiskCertStore::segmentPath(uint32_t Segment) const {
 
 bool DiskCertStore::loadLocked(std::string &Error,
                                uint64_t &TotalSegmentBytes) {
-  // The exclusive lock serializes the scan against appends from other
-  // processes (and lets the tail repair below truncate safely). An
-  // unlockable LOCK file (ENOLCK on NFS, or a ReadOnly handle) degrades
-  // to a read-only scan: no repair, and appends — which demand the lock
-  // — will decline.
-  FileLock Lock(LockFd);
   std::vector<uint32_t> Ids;
   if (!listSegmentIds(Dir, Ids, Error))
     return false;
   uint64_t FileBytes = 0;
   for (uint32_t Id : Ids) {
-    ScanResult Scan = scanSegmentLocked(Id, FileBytes);
+    bool Live = scanSegmentLocked(Id, FileBytes);
     TotalSegmentBytes += FileBytes;
-    if (Scan == ScanResult::Pending || Scan == ScanResult::Gone)
-      // Unreadable, or torn before its header finished: unusable,
-      // reclaimed by compaction.
+    if (!Live)
+      // Unusable: reclaimed by compaction.
       ++Stats.StaleSegments;
-    else if (Scan == ScanResult::Live && Segments[Id].End < FileBytes)
+    else if (Segments[Id].End < FileBytes)
       // A torn tail or a bad record header ended the walk early.
       ++Stats.CorruptSkipped;
   }
-  NewestId = Ids.empty() ? 0 : Ids.back();
+  uint32_t Newest = Ids.empty() ? 0 : Ids.back();
 
   // Appends continue the newest segment when it ends on a record
   // boundary — a torn tail is truncated back to one, since a scan stops
   // at the first bad boundary and appending after garbage would strand
   // the new records. A stale, foreign, or unrepairable newest segment
   // routes them to a fresh one instead.
-  AppendSegment = NewestId + 1;
-  auto Newest = Segments.find(NewestId);
-  if (Newest != Segments.end() && Lock.locked() &&
-      (Newest->second.End == FileBytes ||
-       ::truncate(segmentPath(NewestId).c_str(),
-                  static_cast<off_t>(Newest->second.End)) == 0))
-    AppendSegment = NewestId;
+  AppendSegment = Newest + 1;
+  auto It = Segments.find(Newest);
+  if (It == Segments.end())
+    return true;
+  uint64_t End = It->second.End;
+  if (End == FileBytes ||
+      ::truncate(segmentPath(Newest).c_str(), static_cast<off_t>(End)) == 0)
+    AppendSegment = Newest;
   return true;
 }
 
-DiskCertStore::ScanResult
-DiskCertStore::scanSegmentLocked(uint32_t Id, uint64_t &FileBytes) {
+bool DiskCertStore::scanSegmentLocked(uint32_t Id, uint64_t &FileBytes) {
   FileBytes = 0;
   int Fd = readFdLocked(Id);
-  if (Fd < 0)
-    return errno == ENOENT ? ScanResult::Gone : ScanResult::Pending;
   struct stat St;
-  if (::fstat(Fd, &St) != 0)
-    return ScanResult::Pending;
-  if (St.st_nlink == 0)
-    return ScanResult::Gone;
+  if (Fd < 0 || ::fstat(Fd, &St) != 0)
+    return false;
   FileBytes = static_cast<uint64_t>(St.st_size);
-
-  auto It = Segments.find(Id);
-  if (It == Segments.end()) {
-    std::vector<uint8_t> Header(SegmentHeaderBytes);
-    if (FileBytes < SegmentHeaderBytes ||
-        readBytesLocked(Id, 0, Header) != ReadStatus::Ok)
-      return ScanResult::Pending;
-    NewestId = std::max(NewestId, Id);
-    ByteReader R{Header.data(), SegmentHeaderBytes};
-    if (R.u32() != SegmentMagic || R.u32() != FormatVersion) {
-      // Foreign or other-format segment: skipped wholesale — a format
-      // bump invalidates cleanly instead of half-parsing.
-      ::close(Fd);
-      ReadFds.erase(Id);
-      ++Stats.StaleSegments;
-      return ScanResult::Stale;
-    }
-    It = Segments.emplace(Id, SegmentState{SegmentHeaderBytes, {}}).first;
+  std::vector<uint8_t> Bytes(FileBytes);
+  bool Current = FileBytes >= SegmentHeaderBytes &&
+                 readBytesLocked(Id, 0, Bytes) == ReadStatus::Ok;
+  if (Current) {
+    ByteReader R{Bytes.data(), SegmentHeaderBytes};
+    Current = R.u32() == SegmentMagic && R.u32() == FormatVersion;
   }
-  SegmentState &S = It->second;
-  if (FileBytes <= S.End)
-    return ScanResult::Live;
-  const uint64_t Base = S.End;
-  std::vector<uint8_t> Bytes(FileBytes - Base);
-  if (readBytesLocked(Id, Base, Bytes) != ReadStatus::Ok)
-    return ScanResult::Live; // Shrank under us; the next scan retries.
+  if (!Current) {
+    // Foreign, other-format, torn before its header finished, or
+    // unreadable: skipped wholesale — a format bump invalidates cleanly
+    // instead of half-parsing.
+    ::close(Fd);
+    ReadFds.erase(Id);
+    return false;
+  }
+  SegmentState &S = Segments[Id];
+  const uint8_t *Records = Bytes.data() + SegmentHeaderBytes;
   SegmentWalk Walk = walkSegmentRecords(
-      Bytes.data(), Bytes.size(), Base,
+      Records, Bytes.size() - SegmentHeaderBytes, SegmentHeaderBytes,
       [&](uint64_t Offset, size_t RecordBytes, StoreKey *Key,
           const Certificate &Cert) {
         S.Starts.push_back(Offset);
         if (Key)
           indexRecordLocked(std::move(*Key), Cert, Id, Offset, RecordBytes,
-                            recordChecksum(Bytes.data() + (Offset - Base)));
+                            recordChecksum(Bytes.data() + Offset));
       });
   S.End = Walk.ValidEnd;
   Stats.CorruptSkipped += Walk.Corrupt;
-  return ScanResult::Live;
-}
-
-bool DiskCertStore::refreshLocked() {
-  bool Changed = false;
-  uint64_t FileBytes = 0;
-  if (!Segments.empty()) {
-    // Growth of the newest known segment: one fstat (and a read of just
-    // the new bytes).
-    auto Newest = std::prev(Segments.end());
-    uint64_t EndBefore = Newest->second.End;
-    if (scanSegmentLocked(Newest->first, FileBytes) == ScanResult::Gone) {
-      // Unlinked under us (a sibling compaction): re-list.
-      forgetSegmentLocked(Newest->first);
-      std::vector<uint32_t> Ids;
-      std::string Error;
-      relistLocked(Ids, Error);
-      Changed = true;
-    } else {
-      Changed = Newest->second.End != EndBefore;
-    }
-  }
-  // A sibling rotated: the next segment ids exist.
-  for (;;) {
-    ScanResult Scan = scanSegmentLocked(NewestId + 1, FileBytes);
-    if (Scan != ScanResult::Live && Scan != ScanResult::Stale)
-      break;
-    Changed = true;
-  }
-  if (Changed)
-    ++Stats.IndexRefreshes;
-  return Changed;
-}
-
-bool DiskCertStore::relistLocked(std::vector<uint32_t> &Ids,
-                                 std::string &Error) {
-  if (!listSegmentIds(Dir, Ids, Error))
-    return false;
-  // Forget first: a compaction's output repeats the keys of the
-  // segments it replaced, which must then index afresh.
-  std::vector<uint32_t> Vanished;
-  for (const auto &[Id, S] : Segments)
-    if (!std::binary_search(Ids.begin(), Ids.end(), Id))
-      Vanished.push_back(Id);
-  for (uint32_t Id : Vanished)
-    forgetSegmentLocked(Id);
-  // Known segments may have grown; ids past the newest seen are new.
-  // (Unknown older ids were found stale or torn already.)
-  uint64_t FileBytes = 0;
-  for (uint32_t Id : Ids)
-    if (Id > NewestId || Segments.count(Id))
-      scanSegmentLocked(Id, FileBytes);
   return true;
 }
 
@@ -705,9 +580,9 @@ DiskCertStore::readBytesLocked(uint32_t Segment, uint64_t Offset,
                                std::vector<uint8_t> &Out) {
   int Fd = readFdLocked(Segment);
   if (Fd < 0)
-    // ENOENT = the segment file is gone (a sibling compacted it);
-    // anything else (EMFILE under load, ...) may clear up — retry
-    // later.
+    // ENOENT = the segment file is gone (deleted behind the store's
+    // back); anything else (EMFILE under load, ...) may clear up —
+    // retry later.
     return errno == ENOENT ? ReadStatus::Gone : ReadStatus::Transient;
   size_t Done = 0;
   while (Done < Out.size()) {
@@ -751,7 +626,7 @@ bool DiskCertStore::lookupLocked(const StoreKey &K, uint32_t PoisoningBudget,
   StoreKey StoredKey;
   Certificate Cert;
   // Records are immutable once written, but re-verify end to end anyway:
-  // a deleted segment (another process compacted), bit rot, or an index
+  // a segment deleted or rewritten from outside, bit rot, or an index
   // bug must degrade to a miss (re-verification), never to a wrong
   // certificate.
   ReadStatus Status =
@@ -792,60 +667,30 @@ bool DiskCertStore::lookup(const DatasetFingerprint &Data, const float *X,
                            const VerifierConfig &Config, Certificate &Out) {
   StoreKey K = makeStoreKey(Data, X, NumFeatures, PoisoningBudget, Config);
   std::lock_guard<std::mutex> Guard(Mutex);
-  for (int Pass = 0; Pass < 2; ++Pass) {
-    if (lookupLocked(K, PoisoningBudget, Out))
-      return true;
-    // A miss may just mean a sibling process appended (or compacted)
-    // since we last looked: an fstat and an open attempt tell, a
-    // refresh absorbs, and the retry serves their record without a
-    // reopen.
-    if (Pass != 0 || !refreshLocked())
-      break;
-  }
+  if (lookupLocked(K, PoisoningBudget, Out))
+    return true;
   ++Stats.Misses;
   return false;
 }
 
 bool DiskCertStore::appendLocked(const std::vector<uint8_t> &Record,
                                  StoreKey &&Key, const Certificate &Cert) {
-  // Cross-process single-writer section. No lock, no write: appending
-  // unserialized would let two processes interleave records. Non-
-  // blocking: the caller holds the store mutex, and waiting out a
-  // sibling's compaction here would freeze this process's lookups too.
-  FileLock Lock(LockFd, /*Blocking=*/false);
-  if (!Lock.locked())
-    return false;
-  // Under the lock nothing else appends: index every sibling write
-  // first, so this record lands right after a walked boundary at the
-  // end of the newest segment — the log order replicas follow.
-  refreshLocked();
-  auto SwitchTo = [&](uint32_t Segment) {
+  auto Rotate = [&] {
     if (AppendFd >= 0)
       ::close(AppendFd);
     AppendFd = -1;
-    AppendSegment = Segment;
+    ++AppendSegment;
   };
-  auto Rotate = [&] { SwitchTo(AppendSegment + 1); };
-  if (NewestId > AppendSegment)
-    SwitchTo(NewestId); // A sibling rotated past us.
-  // Each rotation costs a try: four cover an unlinked fd, a segment
-  // ending off a record boundary, and a full segment before the write.
-  for (int Attempt = 0; Attempt < 4; ++Attempt) {
+  // At most one rotation (a full segment, or one ending off a walked
+  // boundary) precedes the write into a fresh segment: two tries.
+  for (int Attempt = 0; Attempt < 2; ++Attempt) {
     if (AppendFd < 0) {
       AppendFd = ::open(segmentPath(AppendSegment).c_str(),
                         O_CREAT | O_RDWR | O_APPEND, 0644);
       if (AppendFd < 0)
         return false;
     }
-    // A sibling's compaction may have unlinked the segment this fd
-    // still points at — writing there would "succeed" into an inode
-    // that vanishes with the last close.
-    struct stat St;
-    if (::fstat(AppendFd, &St) != 0 || St.st_nlink == 0) {
-      Rotate();
-      continue;
-    }
-    // The authoritative size is the file's, read under the lock.
+    // The authoritative size is the file's.
     off_t End = ::lseek(AppendFd, 0, SEEK_END);
     if (End < 0)
       return false;
@@ -874,7 +719,6 @@ bool DiskCertStore::appendLocked(const std::vector<uint8_t> &Record,
       Seg = Segments.insert_or_assign(AppendSegment,
                                       SegmentState{SegmentHeaderBytes, {}})
                 .first;
-      NewestId = std::max(NewestId, AppendSegment);
     } else if (Seg == Segments.end() ||
                Seg->second.End != static_cast<uint64_t>(End)) {
       // Stale, foreign, or ending in bytes the walk could not cross:
@@ -904,7 +748,7 @@ void DiskCertStore::store(const DatasetFingerprint &Data, const float *X,
                           unsigned NumFeatures, uint32_t PoisoningBudget,
                           const VerifierConfig &Config,
                           const Certificate &Cert) {
-  if (Options.ReadOnly || !isDeterministicVerdict(Cert.Kind)) {
+  if (!isDeterministicVerdict(Cert.Kind)) {
     std::lock_guard<std::mutex> Guard(Mutex);
     ++Stats.Declined;
     return;
@@ -925,16 +769,13 @@ void DiskCertStore::store(const DatasetFingerprint &Data, const float *X,
 }
 
 void DiskCertStore::applyRetentionLocked() {
-  if (!Options.RetentionBytes || Options.ReadOnly)
+  if (!Options.RetentionBytes)
     return;
   uint64_t Total = 0;
   for (const auto &[Id, S] : Segments)
     Total += S.End;
   if (Total <= Options.RetentionBytes)
     return;
-  FileLock Lock(LockFd, /*Blocking=*/false);
-  if (!Lock.locked())
-    return; // Contended: the budget check just waits for the next append.
   // Oldest-first, never the open append segment, never the last one
   // standing: certificates are cache entries, so an evicted record is
   // simply re-verified — but evicting the segment appends are landing
@@ -956,31 +797,25 @@ bool DiskCertStore::compact(std::string *Error) {
       *Error = Message;
     return false;
   };
-  if (Options.ReadOnly)
-    return Fail("certificate store '" + Dir + "' is read-only");
   std::lock_guard<std::mutex> Guard(Mutex);
-  FileLock Lock(LockFd);
-  if (!Lock.locked())
-    return Fail("cannot lock '" + Dir + "/LOCK': " + errnoString());
 
-  // Compaction is a *directory-wide* rewrite: sibling processes may
-  // have appended records (and whole segments) this handle has not
-  // scanned yet. Under the lock nothing moves, so one re-list indexes
-  // every intact record in every current-version segment, whoever
-  // wrote it; those (deduplicated) survive. Only duplicates,
-  // torn/corrupt records, and stale-version segments are reclaimed.
+  // The index already holds every intact record this handle scanned or
+  // wrote; those survive. The listing finds every file to reclaim —
+  // duplicates and torn/corrupt records inside live segments, and
+  // stale-version or torn segments the index never used.
   std::vector<uint32_t> OldSegments;
   std::string ListError;
-  if (!relistLocked(OldSegments, ListError))
+  if (!listSegmentIds(Dir, OldSegments, ListError))
     return Fail(ListError);
   uint64_t WalkedRecords = 0;
   for (const auto &[Id, S] : Segments)
     WalkedRecords += S.Starts.size();
-  uint32_t NewSegment = std::max(AppendSegment, NewestId) + 1;
+  // Every segment file was in the directory at open or written by this
+  // handle since, so the ids past the append segment are free.
+  uint32_t NewSegment = AppendSegment + 1;
   std::string NewPath = segmentPath(NewSegment);
 
-  // O_EXCL: never clobber a file some racing writer created — the lock
-  // should make that impossible, but an unlink is irreversible.
+  // O_EXCL: never clobber an existing file — an unlink is irreversible.
   int Fd = ::open(NewPath.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
   if (Fd < 0)
     return Fail("cannot create '" + NewPath + "': " + errnoString());
@@ -1060,7 +895,7 @@ bool DiskCertStore::compact(std::string *Error) {
   Stats.LiveBytes = NewState.End - SegmentHeaderBytes;
   Segments.clear();
   Segments.emplace(NewSegment, std::move(NewState));
-  NewestId = AppendSegment = NewSegment;
+  AppendSegment = NewSegment;
   ++Stats.Compactions;
   Stats.CompactionRecordsDropped += WalkedRecords - Index.size();
   Stats.DuplicateRecords = 0;
@@ -1070,9 +905,6 @@ bool DiskCertStore::compact(std::string *Error) {
 ReplicationEndpoint::Delta
 DiskCertStore::serveReplicationPoll(const PollRequest &Poll) {
   std::lock_guard<std::mutex> Guard(Mutex);
-  // Serve sibling appends promptly rather than waiting for a lookup
-  // miss to notice them.
-  refreshLocked();
   Delta D;
   D.Status = PollStatus::Delta;
   D.Segment = Poll.Segment;
@@ -1148,10 +980,6 @@ DiskCertStore::serveReplicationPoll(const PollRequest &Poll) {
 ReplicationEndpoint::ApplyResult
 DiskCertStore::applyReplicatedRecord(const uint8_t *Data, size_t Size) {
   std::lock_guard<std::mutex> Guard(Mutex);
-  if (Options.ReadOnly) {
-    ++Stats.Declined;
-    return ApplyResult::Declined;
-  }
   // The same validation an open-time scan applies: header shape,
   // checksum, parseable payload, persistable verdict. A corrupt delta
   // is reported (and counted) but never lands in a segment.

@@ -50,36 +50,21 @@
 /// is therefore *never served* — at worst a previously stored
 /// certificate is forgotten and re-verified, which is always sound.
 /// When the tail of the last segment is torn, open truncates it back to
-/// the last whole record (under the exclusive lock) so later appends
-/// are not stranded behind garbage. tests/DiskCertStoreTests.cpp
-/// truncates a store at every byte offset and asserts reopen never
-/// returns a wrong certificate.
+/// the last whole record so later appends are not stranded behind
+/// garbage. tests/DiskCertStoreTests.cpp truncates a store at every
+/// byte offset and asserts reopen never returns a wrong certificate.
 ///
-/// ## Locking protocol (single-writer / multi-reader)
+/// ## Ownership
 ///
-/// Cross-process coordination uses an advisory `flock(2)` on the `LOCK`
-/// file: appends, open-time tail repair, and compaction hold it
-/// exclusively; lookups take no lock at all (records are immutable once
-/// written, and the checksum + full-key compare reject anything torn).
-/// Several `CertServer` processes can thus share one store directory:
-/// one appends at a time, everyone reads. Appends always go to the
-/// newest segment in the directory, so the segments in id order are one
-/// ordered log.
-///
-/// ## Index freshness
-///
-/// Per readable segment the handle keeps a "scanned through" offset:
-/// every record before it is indexed, nothing after it has been read.
-/// Three paths read `[scanned, EOF)` with the same record walk and the
-/// same index insert: `open`, the lookup-miss refresh, and the append
-/// path (under the flock, before it writes). The refresh costs one
-/// `fstat` of the newest known segment (growth, or `st_nlink == 0` after
-/// a sibling compaction) and one `open` attempt on the next segment id
-/// (a sibling rotation); only a vanished newest segment re-lists the
-/// directory. A sibling's records therefore serve on this handle's
-/// next miss, without a reopen. A `ReadOnly` open never takes the lock
-/// at all (and never repairs or appends), so a pure replica can serve
-/// from a directory another process owns.
+/// One process owns a store directory for the whole life of its handle:
+/// `open` takes an exclusive, non-blocking `flock(2)` on the `LOCK` file
+/// and the handle holds it until it is destroyed (the kernel drops it
+/// when the process dies, however it dies). A second open of an owned
+/// directory fails with "in use by another process"; processes share
+/// certificates by replication over the socket, not by sharing a
+/// directory. Everything on disk is therefore written by this handle, so
+/// the index built at open stays complete: segments are scanned once,
+/// at open, and every later record is indexed as it is appended.
 ///
 /// ## Replication (the `ReplicationEndpoint` face)
 ///
@@ -142,34 +127,18 @@ struct DiskCertStoreOptions {
   /// 0 = never rotate.
   uint64_t MaxSegmentBytes = 4ull << 20;
 
-  /// `open` compacts the directory right after the index rebuild when
-  /// dead bytes — stale-version segments, torn/corrupt records,
-  /// duplicates, anything scanned but not indexed — exceed this
-  /// fraction of the total segment bytes on disk. A format bump thus
-  /// reclaims its invalidated segments on the first open instead of
-  /// waiting for an explicit `compact()`. <= 0 disables; the trigger
-  /// failing (I/O error) is not an open failure — the store serves
-  /// what it indexed and the dead bytes wait for the next chance.
-  double AutoCompactDeadFraction = 0.5;
-
   /// Byte budget for the directory's segment files; 0 = unbounded.
   /// Exceeding it after an append (or found exceeded on open) evicts
   /// whole segments oldest-first — never the open append segment.
   uint64_t RetentionBytes = 0;
-
-  /// Open without ever taking the writer flock or mutating the
-  /// directory: no tail repair, `store` declines
-  /// (counted), `compact` fails. The directory must already exist. The
-  /// mode a pure replica or diagnostic reader uses against a directory
-  /// a sibling process owns.
-  bool ReadOnly = false;
 };
 
 /// The disk tier of the production certificate store. Thread-safe like
-/// every `CertificateStore` (one internal mutex); cross-process safe per
-/// the locking protocol above. Compose it behind the RAM tier with
-/// serving/TieredStore.h rather than using it as `VerifierConfig::Cache`
-/// directly — it works alone, but every hit then pays a disk read.
+/// every `CertificateStore` (one internal mutex); the only handle on its
+/// directory per the ownership rule above. Compose it behind the RAM
+/// tier with serving/TieredStore.h rather than using it as
+/// `VerifierConfig::Cache` directly — it works alone, but every hit then
+/// pays a disk read.
 class DiskCertStore final : public CertificateStore,
                             public ReplicationEndpoint {
 public:
@@ -180,16 +149,22 @@ public:
   static constexpr uint32_t FormatVersion = 3;
 
   /// `open` either yields a store or a human-readable reason it could
-  /// not (unwritable directory, lock failure, ...). Skipped corrupt
-  /// records are *not* errors — they are counted in `stats()`.
+  /// not (unwritable directory, owned by another process, ...). Skipped
+  /// corrupt records are *not* errors — they are counted in `stats()`.
   struct OpenResult {
     std::unique_ptr<DiskCertStore> Store;
     std::string Error;
     bool ok() const { return Store != nullptr; }
   };
 
-  /// Opens (creating if needed) the store directory \p Dir and rebuilds
-  /// the index from its segments.
+  /// Opens (creating if needed) the store directory \p Dir, takes
+  /// ownership of it, and rebuilds the index from its segments. When
+  /// dead bytes — stale-version segments, torn/corrupt records,
+  /// duplicates, anything scanned but not indexed — are more than half
+  /// the segment bytes on disk, open compacts right away, so a format
+  /// bump reclaims its invalidated segments on the first open. That
+  /// compaction failing (I/O error) is not an open failure: the store
+  /// serves what it indexed and the dead bytes wait for the next chance.
   static OpenResult open(const std::string &Dir,
                          const DiskCertStoreOptions &Options = {});
 
@@ -215,16 +190,12 @@ public:
   ApplyResult applyReplicatedRecord(const uint8_t *Data,
                                     size_t Size) override;
 
-  /// Directory-wide rewrite under the exclusive lock: re-lists and
-  /// scans every segment (sibling processes may have appended records
-  /// this handle never saw) and copies every intact, deduplicated
-  /// record into one fresh segment, then deletes the old
-  /// files. What gets reclaimed is exactly duplicate records (racing
-  /// writers append the same key independently), torn/corrupt records,
-  /// and stale-version segments. Lookups keep answering
-  /// throughout from this process; other processes holding an old index
-  /// degrade to misses until their next refresh. Returns false (and
-  /// fills \p Error) on I/O failure, leaving the old segments in place.
+  /// Directory-wide rewrite: copies every indexed record that still
+  /// reads back intact into one fresh segment, then deletes every other
+  /// segment file in the directory. What gets reclaimed is exactly
+  /// duplicate records, torn/corrupt records, and stale-version or torn
+  /// segments. Returns false (and fills \p Error) on I/O failure,
+  /// leaving the old segments in place.
   bool compact(std::string *Error = nullptr);
 
 private:
@@ -244,9 +215,9 @@ private:
 
   /// What this handle knows of one readable current-version segment.
   struct SegmentState {
-    /// Scanned through here: always a record boundary, every record
-    /// before it walked (and indexed, when intact), nothing after it
-    /// read yet.
+    /// Walked through here: always a record boundary, every record
+    /// before it scanned at open or appended since (and indexed, when
+    /// intact).
     uint64_t End = 0;
     /// Offsets of every walked record, ascending — the boundaries a
     /// replication cursor may name.
@@ -254,14 +225,6 @@ private:
   };
 
   using IndexMap = std::unordered_map<StoreKey, RecordRef, StoreKeyHash>;
-
-  /// What one segment scan found.
-  enum class ScanResult : uint8_t {
-    Live,    ///< A current-version segment; its new records are indexed.
-    Stale,   ///< Wrong magic/version: skipped wholesale.
-    Pending, ///< Shorter than its header (or transiently unreadable).
-    Gone,    ///< Missing, or unlinked under this handle's fd.
-  };
 
   DiskCertStore(std::string Dir, const DiskCertStoreOptions &Options)
       : Dir(std::move(Dir)), Options(Options) {
@@ -275,21 +238,12 @@ private:
   /// with \p Error on hard I/O failure. Caller holds the mutex.
   bool loadLocked(std::string &Error, uint64_t &TotalSegmentBytes);
 
-  /// Walks segment \p Id from its scanned-through offset to EOF and
-  /// indexes the intact records found; a segment not yet known has its
-  /// header checked first. \p FileBytes receives the file's size.
-  /// Caller holds the mutex.
-  ScanResult scanSegmentLocked(uint32_t Id, uint64_t &FileBytes);
-
-  /// Absorbs sibling writes: growth of the newest known segment, newer
-  /// segments a sibling rotated to, and (by re-listing) a vanished
-  /// newest segment. True when the index or the segment set changed.
-  /// Caller holds the mutex; works with or without the flock.
-  bool refreshLocked();
-
-  /// Lists the directory into \p Ids, forgets segments that left it,
-  /// and scans the known and the new ones. Caller holds the mutex.
-  bool relistLocked(std::vector<uint32_t> &Ids, std::string &Error);
+  /// Checks segment \p Id's header and indexes the intact records of a
+  /// current-version segment; false (nothing indexed) for a foreign,
+  /// stale-version, torn-header, or unreadable one. \p FileBytes
+  /// receives the file's size. Runs only at open; caller holds the
+  /// mutex.
+  bool scanSegmentLocked(uint32_t Id, uint64_t &FileBytes);
 
   /// Drops segment \p Id and every index entry in it; returns how many
   /// entries went. Caller holds the mutex.
@@ -303,9 +257,7 @@ private:
                          size_t RecordBytes, uint64_t Checksum);
 
   /// Enforces `RetentionBytes` by evicting whole segments oldest-first;
-  /// never touches the open append segment. Needs the flock (its own,
-  /// non-blocking — a contended budget check just waits for the next
-  /// append). Caller holds the mutex.
+  /// never touches the open append segment. Caller holds the mutex.
   void applyRetentionLocked();
 
   std::string segmentPath(uint32_t Segment) const;
@@ -313,9 +265,8 @@ private:
   /// Read fd for \p Segment, opened on demand and cached. -1 on failure.
   int readFdLocked(uint32_t Segment);
 
-  /// Appends one serialized record (of \p Key and \p Cert) under the
-  /// cross-process exclusive lock, at the end of the newest segment,
-  /// and indexes it. Caller holds the mutex.
+  /// Appends one serialized record (of \p Key and \p Cert) at the end
+  /// of the append segment and indexes it. Caller holds the mutex.
   bool appendLocked(const std::vector<uint8_t> &Record, StoreKey &&Key,
                     const Certificate &Cert);
 
@@ -349,7 +300,7 @@ private:
   const DiskCertStoreOptions Options;
 
   mutable std::mutex Mutex;
-  int LockFd = -1;   ///< `LOCK` file; flock target (-1 when ReadOnly).
+  int LockFd = -1;   ///< `LOCK` file, flocked for the handle's life.
   int AppendFd = -1; ///< Current append segment, O_APPEND.
   uint32_t AppendSegment = 0;
   IndexMap Index;
@@ -359,9 +310,6 @@ private:
   std::unordered_map<uint32_t, int> ReadFds;
   /// Readable current-version segments, by id.
   std::map<uint32_t, SegmentState> Segments;
-  /// Highest segment id seen in the directory, readable or not; the
-  /// refresh probes the id after it for a sibling rotation.
-  uint32_t NewestId = 0;
   StoreStats Stats;
 };
 

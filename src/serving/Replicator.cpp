@@ -178,7 +178,7 @@ bool Replicator::pollOnce(bool &More, std::string &Error) {
       ++Stats.Corrupt;
       break;
     case ReplicationEndpoint::ApplyResult::Declined:
-      // The local store refused (read-only, lock contention): do not
+      // The local store refused (an I/O failure on append): do not
       // advance past the record, retry it next poll.
       ++Stats.Errors;
       Error = "local store declined a replicated record";

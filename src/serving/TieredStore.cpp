@@ -13,13 +13,10 @@ bool TieredStore::lookup(const DatasetFingerprint &Data, const float *X,
                          unsigned NumFeatures, uint32_t PoisoningBudget,
                          const VerifierConfig &Config, Certificate &Out) {
   if (Ram && Ram->lookup(Data, X, NumFeatures, PoisoningBudget, Config,
-                         Out)) {
-    RamHits.fetch_add(1, std::memory_order_relaxed);
+                         Out))
     return true;
-  }
   if (Disk && Disk->lookup(Data, X, NumFeatures, PoisoningBudget, Config,
                            Out)) {
-    DiskHits.fetch_add(1, std::memory_order_relaxed);
     // Promote: the next repeat should cost a hash probe, not a disk
     // read. The RAM tier may decline (byte budget) — then every repeat
     // keeps hitting disk, which is still correct.
@@ -27,7 +24,6 @@ bool TieredStore::lookup(const DatasetFingerprint &Data, const float *X,
       Ram->store(Data, X, NumFeatures, PoisoningBudget, Config, Out);
     return true;
   }
-  Misses.fetch_add(1, std::memory_order_relaxed);
   return false;
 }
 
@@ -47,20 +43,11 @@ void TieredStore::store(const DatasetFingerprint &Data, const float *X,
 bool TieredStore::probe(const DatasetFingerprint &Data, const float *X,
                         unsigned NumFeatures, uint32_t PoisoningBudget,
                         const VerifierConfig &Config, Certificate &Out) {
-  // No promotion and no tier-crossing counters: a probe answers the
-  // admission-control question without disturbing residency.
+  // No promotion: a probe answers the admission-control question
+  // without disturbing residency.
   if (Ram &&
       Ram->probe(Data, X, NumFeatures, PoisoningBudget, Config, Out))
     return true;
   return Disk &&
          Disk->probe(Data, X, NumFeatures, PoisoningBudget, Config, Out);
-}
-
-StoreStats TieredStore::stats() const {
-  StoreStats Stats;
-  Stats.RamHits = RamHits.load(std::memory_order_relaxed);
-  Stats.DiskHits = DiskHits.load(std::memory_order_relaxed);
-  Stats.Misses = Misses.load(std::memory_order_relaxed);
-  Stats.Hits = Stats.RamHits + Stats.DiskHits;
-  return Stats;
 }

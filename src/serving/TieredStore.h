@@ -28,8 +28,8 @@
 ///
 /// Both tiers key through the shared `StoreKey` (serving/StoreKey.h), so
 /// promotion is a plain store — no key translation, and a certificate
-/// written by any process is addressable by every other process sharing
-/// the store directory.
+/// written by one process is addressable by the next process to own the
+/// store directory (or by a replica that pulled it).
 ///
 /// Radius-range serving lives *inside* each tier (the same rule both
 /// sides of serving/StoreKey.h `rangeServes`), so this facade needs no
@@ -48,14 +48,13 @@
 
 #include "serving/CertificateStore.h"
 
-#include <atomic>
-#include <cstdint>
-
 namespace antidote {
 
 /// Composes two `CertificateStore`s, RAM semantics in front and
 /// persistent semantics behind. Owns neither — the server/CLI owns the
-/// tiers (the disk store may be shared more widely than one tiering).
+/// tiers. Keeps no counters: each tier counts its own hits, range hits
+/// and misses behind its own handle, so `stats()` is the all-zero
+/// default.
 class TieredStore final : public CertificateStore {
 public:
   /// \p Ram is consulted first and fed on promotion; \p Disk is the
@@ -78,10 +77,6 @@ public:
              unsigned NumFeatures, uint32_t PoisoningBudget,
              const VerifierConfig &Config, Certificate &Out) override;
 
-  /// The tier-crossing counters (`RamHits`/`DiskHits`/`Misses`); each
-  /// tier keeps its own full stats behind its own handle.
-  StoreStats stats() const override;
-
   /// Replication rides on the persistent tier: forwarded to `Disk`.
   ReplicationEndpoint *replication() override {
     return Disk ? Disk->replication() : nullptr;
@@ -90,11 +85,6 @@ public:
 private:
   CertificateStore *Ram;
   CertificateStore *Disk;
-
-  // Relaxed atomics: counters only — the tiers do their own locking.
-  std::atomic<uint64_t> RamHits{0};
-  std::atomic<uint64_t> DiskHits{0};
-  std::atomic<uint64_t> Misses{0};
 };
 
 } // namespace antidote
