@@ -327,30 +327,6 @@ BENCHMARK(BM_VerifyFrontierJobs)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Per-feature sharding of one bestSplit# candidate-scoring pass, at
-// SplitJobs = 1/2/4 — the axis that helps when a single disjunct
-// dominates and the frontier fan-out has nothing to spread. The returned
-// PredicateSet is bit-identical across values
-// (tests/BestSplitShardTests.cpp enforces this); only real time should
-// move, with the same single-core caveat as the other scaling benches.
-static void BM_BestSplitJobs(benchmark::State &State) {
-  unsigned SplitJobs = static_cast<unsigned>(State.range(0));
-  std::unique_ptr<ThreadPool> Pool = makeVerificationPool(SplitJobs);
-  AbstractDataset A = AbstractDataset::entire(mammo().Split.Train, 16);
-  for (auto _ : State) {
-    std::optional<PredicateSet> Psi = abstractBestSplit(
-        mammoCtx(), A, CprobTransformerKind::Optimal,
-        GiniLiftingKind::ExactTerm, /*Meter=*/nullptr, Pool.get(),
-        SplitJobs);
-    benchmark::DoNotOptimize(Psi->size());
-  }
-}
-BENCHMARK(BM_BestSplitJobs)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime();
-
 // The serving layer's value proposition: most serving traffic repeats
 // queries, and a warm fingerprint-keyed cache short-circuits a repeat to
 // one hash probe. Arg(0) re-verifies a fixed batch of queries from

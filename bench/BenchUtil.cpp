@@ -62,10 +62,6 @@ unsigned antidote::benchutil::benchFrontierJobsFromEnv() {
   return jobsFromEnvVar("ANTIDOTE_FRONTIER_JOBS");
 }
 
-unsigned antidote::benchutil::benchSplitJobsFromEnv() {
-  return jobsFromEnvVar("ANTIDOTE_SPLIT_JOBS");
-}
-
 std::optional<uint64_t> antidote::benchutil::benchCacheBytesFromEnv() {
   EnvNumber Env =
       readUnsignedEnvReporting("ANTIDOTE_CACHE_BYTES", "unbounded");
@@ -82,7 +78,6 @@ antidote::benchutil::runFigureBench(const FigureBenchSpec &Spec) {
   SweepConfig Config = Scale == BenchScale::Full ? Spec.Full : Spec.Scaled;
   Config.Jobs = benchJobsFromEnv();
   Config.FrontierJobs = benchFrontierJobsFromEnv();
-  Config.SplitJobs = benchSplitJobsFromEnv();
   std::optional<uint64_t> CacheBytes = benchCacheBytesFromEnv();
   std::unique_ptr<CertCache> Cache;
   if (CacheBytes) {
@@ -97,11 +92,9 @@ antidote::benchutil::runFigureBench(const FigureBenchSpec &Spec) {
   std::printf("scale: %s (set ANTIDOTE_BENCH_SCALE=full for paper scale); "
               "jobs: %u (ANTIDOTE_JOBS; 0 = all cores); "
               "frontier jobs: %u (ANTIDOTE_FRONTIER_JOBS); "
-              "split jobs: %u (ANTIDOTE_SPLIT_JOBS); "
               "cert cache: %s (ANTIDOTE_CACHE_BYTES)\n",
               Scale == BenchScale::Full ? "full" : "scaled", Config.Jobs,
-              Config.FrontierJobs, Config.SplitJobs,
-              Cache ? "on" : "off");
+              Config.FrontierJobs, Cache ? "on" : "off");
   std::printf("train %u rows x %u features; verifying %zu test inputs; "
               "timeout %.1fs/instance\n\n",
               Bench.Split.Train.numRows(), Bench.Split.Train.numFeatures(),
@@ -133,8 +126,8 @@ antidote::benchutil::runFigureBench(const FigureBenchSpec &Spec) {
   printFractionVerifiedSeries(Spec.DatasetName, Result, Config.Depths);
 
   if (!Spec.PaperShapeNotes.empty()) {
-    std::printf("paper-reported shape (see EXPERIMENTS.md for the "
-                "measured comparison):\n");
+    std::printf("paper-reported shape (compare with the panels "
+                "above):\n");
     for (const std::string &Note : Spec.PaperShapeNotes)
       std::printf("  - %s\n", Note.c_str());
   }

@@ -33,7 +33,7 @@ struct FigureBenchSpec {
   SweepConfig Full;          ///< Protocol parameters at BenchScale::Full.
 
   /// Qualitative expectations from the paper, echoed in the output so
-  /// readers can eyeball the shape match (EXPERIMENTS.md records them).
+  /// readers can eyeball the shape match against the panels above.
   std::vector<std::string> PaperShapeNotes;
 };
 
@@ -51,10 +51,6 @@ unsigned benchJobsFromEnv();
 /// Reads ANTIDOTE_FRONTIER_JOBS: executors inside each instance's DTrace#
 /// frontier ("0" = one per hardware thread). Defaults to 1 (serial).
 unsigned benchFrontierJobsFromEnv();
-
-/// Reads ANTIDOTE_SPLIT_JOBS: executors inside each bestSplit# candidate
-/// scoring pass ("0" = one per hardware thread). Defaults to 1 (serial).
-unsigned benchSplitJobsFromEnv();
 
 /// Reads ANTIDOTE_CACHE_BYTES: when set, the figure bench attaches a
 /// certificate cache with this byte budget ("0" = unbounded) to its

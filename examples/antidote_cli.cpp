@@ -102,7 +102,7 @@ void printUsage() {
       "  --row      use row K of the benchmark's test split\n"
       "  --all      certify every row of the test split\n"
       "  --serve    warm certificate server: read one query per line\n"
-      "             (\"v1,v2,...\") from stdin, batch them through one\n"
+      "             (\"v1,v2,...\") from stdin, answer each from one\n"
       "             long-lived Verifier, cache repeated queries\n"
       "  --listen   network certificate server: bind 127.0.0.1:PORT\n"
       "             (0 = kernel-assigned, printed on startup) and speak\n"
@@ -431,7 +431,6 @@ int main(int Argc, char **Argv) {
     ServerConfig.Query.Limits.TimeoutSeconds = Options.TimeoutSeconds;
     ServerConfig.Query.Limits.MaxCacheBytes = Serving.CacheBytes;
     ServerConfig.Query.FrontierJobs = Serving.FrontierJobs;
-    ServerConfig.Query.SplitJobs = Serving.SplitJobs;
     ServerConfig.Jobs = Serving.Jobs;
     ServerConfig.Store = Store;
     CertServer Server(Train, ServerConfig);
@@ -493,7 +492,6 @@ int main(int Argc, char **Argv) {
     ServerConfig.Query.Limits.TimeoutSeconds = Options.TimeoutSeconds;
     ServerConfig.Query.Limits.MaxCacheBytes = Serving.CacheBytes;
     ServerConfig.Query.FrontierJobs = Serving.FrontierJobs;
-    ServerConfig.Query.SplitJobs = Serving.SplitJobs;
     ServerConfig.Jobs = Serving.Jobs;
     ServerConfig.Store = Store;
     CertServer Server(Train, ServerConfig);
@@ -573,7 +571,6 @@ int main(int Argc, char **Argv) {
   Config.Limits.TimeoutSeconds = Options.TimeoutSeconds;
   Config.Limits.MaxCacheBytes = Serving.CacheBytes;
   Config.FrontierJobs = Serving.FrontierJobs;
-  Config.SplitJobs = Serving.SplitJobs;
   // The one-shot and --all modes reuse the same composed store: a
   // RAM-only cache is pointless for a one-shot batch with distinct rows
   // but demos the hit path; the two-tier composition with a --cache-dir
@@ -581,11 +578,10 @@ int main(int Argc, char **Argv) {
   // same query answers from disk.
   if (Store)
     Config.Cache = Store;
-  // One pool shared by every query of the process and by both in-query
-  // fan-out levels (it outlives the verify/verifyBatch calls below);
-  // null when --frontier-jobs and --split-jobs are both 1.
-  std::unique_ptr<ThreadPool> FrontierPool = makeVerificationPool(
-      sharedFanoutJobs(Serving.FrontierJobs, Serving.SplitJobs));
+  // One frontier pool shared by every query of the process (it outlives
+  // the verify/verifyBatch calls below); null when --frontier-jobs is 1.
+  std::unique_ptr<ThreadPool> FrontierPool =
+      makeVerificationPool(Serving.FrontierJobs);
   Config.FrontierPool = FrontierPool.get();
 
   if (Options.AllRows) {
@@ -594,7 +590,7 @@ int main(int Argc, char **Argv) {
       Inputs.push_back(Test.row(Row));
     std::unique_ptr<ThreadPool> Pool = makeVerificationPool(Serving.Jobs);
     std::printf("verifying %zu test rows on %u thread(s), %u shared "
-                "frontier/split executor(s) per query\n",
+                "frontier executor(s) per query\n",
                 Inputs.size(), Pool ? Pool->size() + 1 : 1,
                 FrontierPool ? FrontierPool->size() + 1 : 1);
     std::vector<Certificate> Certs =

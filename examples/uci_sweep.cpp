@@ -120,9 +120,9 @@ int main(int Argc, char **Argv) {
   std::printf("=== Poisoning-robustness sweep: %s (threat %s) ===\n",
               Name.c_str(), threatModelName(Serving.Threat));
   std::printf("train %u rows x %u features, verifying %zu test inputs, "
-              "%u job(s), %u frontier job(s), %u split job(s)\n",
+              "%u job(s), %u frontier job(s)\n",
               Train.numRows(), Train.numFeatures(), VerifyRows.size(),
-              Serving.Jobs, Serving.FrontierJobs, Serving.SplitJobs);
+              Serving.Jobs, Serving.FrontierJobs);
   if (Serving.Threat == ThreatModelKind::LabelFlip)
     std::printf("note: box-domain cells are skipped — the flip "
                 "class-probability transformer is sound only under the "
@@ -137,7 +137,6 @@ int main(int Argc, char **Argv) {
   Config.MaxPoisoning = Train.numRows();
   Config.Jobs = Serving.Jobs;
   Config.FrontierJobs = Serving.FrontierJobs;
-  Config.SplitJobs = Serving.SplitJobs;
   // The store composition, shared with antidote_cli: RAM LRU in front,
   // persistent tier behind (--cache-dir / ANTIDOTE_CACHE_DIR — a re-run
   // of the same sweep answers its deterministic cells from disk), both

@@ -26,13 +26,9 @@
 ///      scores — i.e. everything whose score interval overlaps the minimal
 ///      interval.
 ///
-/// Candidate enumeration + interval scoring dominate a hard verification's
-/// cost, so the loop shards *per feature*: each shard scores one feature's
-/// candidates (Φ∃ membership, score intervals, its local lubΦ∀
-/// contribution) independently, and the shards fold in strict
-/// feature-index order — `min`/`∨` folds are exact, so the returned
-/// `PredicateSet` is bit-identical to the serial scan for every `SplitJobs`
-/// value.
+/// The scan runs one feature at a time in feature-index order over a
+/// shared enumeration prepass, appending Φ∃ members in enumeration order
+/// and folding lubΦ∀ as a running `min`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +40,6 @@
 #include "abstract/PredicateSet.h"
 #include "concrete/BestSplit.h"
 #include "support/Budget.h"
-#include "support/ThreadPool.h"
 
 #include <optional>
 
@@ -59,18 +54,11 @@ namespace antidote {
 /// produce (spuriously refuting domination), so truncation is
 /// unrepresentable and every caller must handle the interrupt explicitly.
 /// Without a meter the result is always engaged.
-///
-/// With \p Pool and `SplitJobs != 1`, candidate scoring shards per feature
-/// onto the pool (`SplitJobs` caps the executors recruited for this call,
-/// 0 = one per hardware thread; the pool is typically shared with the
-/// frontier fan-out). The engaged result is bit-identical for every job
-/// count.
 std::optional<PredicateSet>
 abstractBestSplit(const SplitContext &Ctx, const AbstractDataset &Data,
                   CprobTransformerKind Kind,
                   GiniLiftingKind Lifting = GiniLiftingKind::ExactTerm,
-                  const ResourceMeter *Meter = nullptr,
-                  ThreadPool *Pool = nullptr, unsigned SplitJobs = 1);
+                  const ResourceMeter *Meter = nullptr);
 
 } // namespace antidote
 

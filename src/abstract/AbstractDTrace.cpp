@@ -108,9 +108,8 @@ private:
   ResourceMeter Meter;
   AbstractLearnerResult Result;
 
-  /// The run's one pool, shared by the frontier fan-out and the per-
-  /// feature bestSplit# sharding inside each transfer step. Set once in
-  /// run() before any transfer step executes, then only read.
+  /// The run's frontier fan-out pool (null = inline). Set once in run()
+  /// before the first fan-out starts, then only read.
   ThreadPool *Pool = nullptr;
 };
 
@@ -129,8 +128,8 @@ LearnerRun::transferStep(const AbstractDataset &Cur) const {
   // the persistent meter trips the merge phase's very next shouldAbort()
   // poll — before the budget outcome could be masked — so a truncated
   // state never reaches a Completed verdict.
-  std::optional<PredicateSet> Psi = Model.bestSplit(
-      Ctx, Cur, Config.Cprob, Config.Gini, &Meter, Pool, Config.SplitJobs);
+  std::optional<PredicateSet> Psi =
+      Model.bestSplit(Ctx, Cur, Config.Cprob, Config.Gini, &Meter);
   Out.CalledBestSplit = true;
   if (!Psi)
     return Out;
@@ -165,15 +164,14 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
          "threat model does not support the requested abstract domain");
   Timer Elapsed;
 
-  // The run's one fan-out pool (frontier disjuncts + bestSplit# feature
-  // shards): an externally owned one (shared across a sweep's instances)
-  // wins; otherwise spawn one sized for the wider of the two levels.
-  // Null/empty means everything runs inline on this thread.
+  // The run's frontier fan-out pool: an externally owned one (shared
+  // across a sweep's instances) wins; otherwise spawn one sized by
+  // FrontierJobs. Null/empty means everything runs inline on this thread.
+  // FrontierJobs == 1 skips the factory, which reads the CPU count.
   std::unique_ptr<ThreadPool> OwnedPool;
   Pool = Config.FrontierPool;
-  if (!Pool && (Config.FrontierJobs != 1 || Config.SplitJobs != 1)) {
-    OwnedPool = makeVerificationPool(
-        sharedFanoutJobs(Config.FrontierJobs, Config.SplitJobs));
+  if (!Pool && Config.FrontierJobs != 1) {
+    OwnedPool = makeVerificationPool(Config.FrontierJobs);
     Pool = OwnedPool.get();
   }
 
@@ -198,22 +196,13 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
       // whole next frontier in Steps — precisely the OOM the caps stand
       // in for. Run-ahead memory is limited to the window's steps.
       std::vector<DisjunctStep> Steps(Frontier.size());
-      // The pool may be sized for the split level (e.g. FrontierJobs = 1,
-      // SplitJobs = 8), so FrontierJobs caps how many of its workers this
-      // level recruits; the split shards inside each transfer step recruit
-      // the rest.
-      unsigned FrontierJobs = Config.FrontierJobs == 0
-                                  ? ThreadPool::hardwareConcurrency()
-                                  : Config.FrontierJobs;
-      size_t MaxHelpers = FrontierJobs - 1;
-      size_t Executors =
-          Pool ? std::min<size_t>(Pool->size(), MaxHelpers) + 1 : 1;
+      size_t Executors = (Pool ? Pool->size() : 0) + 1;
       size_t WindowChunks = 4 * Executors;
       OrderedFanout Fanout(Pool, Frontier.size(), /*ChunkSize=*/0,
                            [this, &Steps, &Frontier](size_t I) {
                              Steps[I] = transferStep(Frontier[I]);
                            },
-                           WindowChunks, MaxHelpers);
+                           WindowChunks);
 
       // Merge phase: single writer of the tracker and every counter.
       for (size_t I = 0, E = Frontier.size(); I < E; ++I) {

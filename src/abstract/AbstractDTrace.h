@@ -30,8 +30,8 @@
 /// (abstract/ThreatModel.h): every model-specific transformer — `cprob#`,
 /// the pure-leaf conditional, the `bestSplit#` candidate/overlap rule —
 /// is supplied by `Config.Threat`'s `ThreatModel`, so ∆n removal and
-/// label-flip contamination share the frontier loop, both fan-out axes,
-/// the resource accounting, and cancellation below.
+/// label-flip contamination share the frontier loop, the frontier
+/// fan-out, the resource accounting, and cancellation below.
 ///
 /// Each depth iteration is split into two phases so one verification can
 /// scale across cores (`FrontierJobs`): a pure per-disjunct *transfer*
@@ -40,14 +40,11 @@
 /// out over a `ThreadPool`, and a sequential *merge* phase — the single
 /// writer of the domination tracker, the dedup/overflow-join, and every
 /// resource counter — that folds the per-disjunct results in disjunct-
-/// index order. A second, nested fan-out level (`SplitJobs`) shards each
-/// transfer step's `bestSplit#` candidate scoring per feature onto the
-/// same pool, which is what lets a *single-disjunct-dominated* run (Box
-/// domain, or a deep query before its frontier widens) scale too.
-/// Because every merge replays exactly the serial order, the result
-/// (terminals, certificates, `PeakDisjuncts`, `PeakStateBytes`,
-/// `BestSplitCalls`) is bit-identical for every `FrontierJobs` and
-/// `SplitJobs` value in all three domains; only wall-clock time changes.
+/// index order. Each transfer step runs `bestSplit#` serially on its
+/// executor. Because every merge replays exactly the serial order, the
+/// result (terminals, certificates, `PeakDisjuncts`, `PeakStateBytes`,
+/// `BestSplitCalls`) is bit-identical for every `FrontierJobs` value in
+/// all three domains; only wall-clock time changes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,27 +113,14 @@ struct AbstractLearnerConfig {
   /// fans out).
   unsigned FrontierJobs = 1;
 
-  /// Executors for the per-feature bestSplit# sharding *inside* each
-  /// disjunct's transfer step: 1 (default) scores candidates inline, 0
-  /// means one executor per hardware thread. This is the axis that helps
-  /// when one disjunct dominates (a Box run, or a deep query over a
-  /// dataset with many features) and the frontier fan-out has nothing to
-  /// spread. Shares the run's one pool with the frontier fan-out — no
-  /// second pool is ever spawned, and `FrontierJobs x SplitJobs` may
-  /// exceed the pool size safely (fan-out consumers compute unclaimed
-  /// work inline; see support/ThreadPool.h). Results are bit-identical
-  /// for every value.
-  unsigned SplitJobs = 1;
-
-  /// Optional externally owned pool for both fan-out levels (frontier
-  /// disjuncts and bestSplit# feature shards); when set it is used as-is
-  /// and `FrontierJobs`/`SplitJobs` only cap how many executors each
-  /// level recruits (a sweep shares one pool across its instances
-  /// instead of re-spawning threads per query). Null means the run
-  /// spawns its own pool sized by `sharedFanoutJobs(FrontierJobs,
-  /// SplitJobs)`. The pool may be shared with other concurrent runs:
-  /// every fan-out's consumer computes unclaimed work itself, so a
-  /// starved fan-out degrades to serial instead of deadlocking.
+  /// Optional externally owned pool for the frontier fan-out; when set
+  /// it is used as-is and its size, not `FrontierJobs`, sets the fan-out
+  /// width (a sweep shares one pool across its instances instead of
+  /// re-spawning threads per query). Null means the run spawns its own
+  /// pool sized by `FrontierJobs`. The pool may be shared with other
+  /// concurrent runs: every fan-out's consumer computes unclaimed work
+  /// itself, so a starved fan-out degrades to serial instead of
+  /// deadlocking.
   ThreadPool *FrontierPool = nullptr;
 };
 

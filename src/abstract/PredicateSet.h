@@ -40,8 +40,8 @@ public:
   void add(const SplitPredicate &Pred) { Preds.push_back(Pred); }
   void addNull() { HasNull = true; }
 
-  /// Pre-sizes for \p Count bulk adds (the sharded bestSplit# fold knows
-  /// its candidate total up front).
+  /// Pre-sizes for \p Count bulk adds (bestSplit# knows its candidate
+  /// total up front).
   void reserve(size_t Count) { Preds.reserve(Count); }
 
   /// Restores the canonical sorted/unique representation after bulk adds.

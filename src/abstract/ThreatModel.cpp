@@ -87,9 +87,8 @@ public:
   std::optional<PredicateSet>
   bestSplit(const SplitContext &Ctx, const AbstractDataset &Cur,
             CprobTransformerKind Cprob, GiniLiftingKind Gini,
-            const ResourceMeter *Meter, ThreadPool *Pool,
-            unsigned SplitJobs) const override {
-    return abstractBestSplit(Ctx, Cur, Cprob, Gini, Meter, Pool, SplitJobs);
+            const ResourceMeter *Meter) const override {
+    return abstractBestSplit(Ctx, Cur, Cprob, Gini, Meter);
   }
 };
 
@@ -147,8 +146,7 @@ public:
   std::optional<PredicateSet>
   bestSplit(const SplitContext &Ctx, const AbstractDataset &Cur,
             CprobTransformerKind, GiniLiftingKind,
-            const ResourceMeter *Meter, ThreadPool *,
-            unsigned) const override {
+            const ResourceMeter *Meter) const override {
     // flipBestSplit has no internal poll points; honor the engine's
     // nullopt-on-interrupt contract with an up-front check.
     if (Meter && Meter->interrupted())

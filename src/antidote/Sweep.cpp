@@ -39,7 +39,6 @@ public:
     QueryConfig.Limits = Config.InstanceLimits;
     QueryConfig.Cancel = Config.Cancel;
     QueryConfig.FrontierJobs = Config.FrontierJobs;
-    QueryConfig.SplitJobs = Config.SplitJobs;
     QueryConfig.FrontierPool = FrontierPool;
     QueryConfig.Cache = Config.Cache;
   }
@@ -198,15 +197,14 @@ SweepResult antidote::runPoisoningSweep(
 
   // One pool per axis for the whole sweep; all-1 knobs stay strictly
   // serial (the caller's thread does all the work inside verifyBatch /
-  // the frontier merge / the split scoring). The in-query pool serves
-  // both the frontier and split fan-out levels of every instance, sized
-  // for the wider level rather than their product — concurrent queries
-  // interleave their chunk tasks on it safely, and each fan-out's
-  // consumer picks up unclaimed work itself, so contention degrades
-  // toward serial rather than deadlocking.
+  // the frontier merge). The in-query pool serves the frontier fan-out
+  // of every instance — concurrent queries interleave their chunk tasks
+  // on it safely, and each fan-out's consumer picks up unclaimed work
+  // itself, so contention degrades toward serial rather than
+  // deadlocking.
   std::unique_ptr<ThreadPool> Pool = makeVerificationPool(Config.Jobs);
-  std::unique_ptr<ThreadPool> FrontierPool = makeVerificationPool(
-      sharedFanoutJobs(Config.FrontierJobs, Config.SplitJobs));
+  std::unique_ptr<ThreadPool> FrontierPool =
+      makeVerificationPool(Config.FrontierJobs);
 
   for (unsigned Depth : Config.Depths)
     for (const SweepDomainSpec &Spec : Config.Domains) {

@@ -94,15 +94,6 @@ struct SweepConfig {
   /// every value (the wall-clock-timeout caveat above applies equally).
   unsigned FrontierJobs = 1;
 
-  /// Executors for the per-feature bestSplit# sharding inside each
-  /// disjunct transfer step (1 = serial, 0 = one per hardware thread).
-  /// The third axis, for instances a single disjunct dominates (Box
-  /// domain, or deep queries before their frontier widens); shares the
-  /// sweep's one frontier pool — the pool is sized for the wider of the
-  /// two in-query levels, never their product. Results are identical for
-  /// every value.
-  unsigned SplitJobs = 1;
-
   /// Optional shared stop lever: cancelling it ends the sweep early (the
   /// partial result is still well-formed).
   const CancellationToken *Cancel = nullptr;

@@ -76,7 +76,6 @@ Certificate Verifier::verify(const float *X, uint32_t PoisoningBudget,
   LearnerConfig.Limits = Config.Limits;
   LearnerConfig.Cancel = Config.Cancel;
   LearnerConfig.FrontierJobs = Config.FrontierJobs;
-  LearnerConfig.SplitJobs = Config.SplitJobs;
   LearnerConfig.FrontierPool = Config.FrontierPool;
 
   AbstractDataset Initial = AbstractDataset::entire(*Train, PoisoningBudget);

@@ -69,18 +69,10 @@ struct VerifierConfig {
   /// disjuncts. Certificates are bit-identical for every value.
   unsigned FrontierJobs = 1;
 
-  /// Executors for the per-feature bestSplit# sharding inside each
-  /// disjunct's transfer step (1 = serial, 0 = one per hardware thread).
-  /// The third fan-out axis, for queries a single disjunct dominates;
-  /// shares the one pool with the frontier fan-out (see
-  /// AbstractLearnerConfig::SplitJobs). Certificates are bit-identical
-  /// for every value.
-  unsigned SplitJobs = 1;
-
-  /// Optional externally owned pool for both in-query fan-out levels
-  /// (overrides FrontierJobs/SplitJobs-driven pool spawning; see
-  /// AbstractLearnerConfig). A sweep passes one long-lived pool here so
-  /// thousands of queries do not each re-spawn threads.
+  /// Optional externally owned pool for the frontier fan-out (its size
+  /// replaces FrontierJobs; see AbstractLearnerConfig). A sweep passes
+  /// one long-lived pool here so thousands of queries do not each
+  /// re-spawn threads.
   ThreadPool *FrontierPool = nullptr;
 
   /// Optional certificate store consulted before verifying and updated

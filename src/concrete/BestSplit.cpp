@@ -72,80 +72,28 @@ SplitEnumerationPrepass::SplitEnumerationPrepass(const SplitContext &Ctx,
   }
 }
 
-namespace {
-
-/// One feature's scoring shard of the concrete bestSplit: the feature's
-/// local argmin under the same first-wins tie-break the serial scan uses.
-struct ConcreteShard {
-  std::optional<SplitPredicate> Best;
-  double Score = 0.0;
-};
-
-} // namespace
-
 std::optional<SplitPredicate> antidote::bestSplit(const SplitContext &Ctx,
-                                                  const RowIndexList &Rows,
-                                                  ThreadPool *Pool,
-                                                  unsigned SplitJobs) {
+                                                  const RowIndexList &Rows) {
   std::vector<uint32_t> Totals = classCounts(Ctx.base(), Rows);
   uint32_t Total = static_cast<uint32_t>(Rows.size());
-  unsigned NumFeatures = Ctx.base().numFeatures();
-  SplitEnumerationPrepass Pre(Ctx, Rows);
-  std::vector<ConcreteShard> Shards(NumFeatures);
-
-  // Scores feature F into Out. Per-executor scratch, reused across
-  // features: workers and the calling thread each keep their own pair, so
-  // a sharded scan allocates nothing per feature.
-  auto ScoreFeature = [&](size_t F) {
-    thread_local std::vector<uint32_t> PosScratch;
-    thread_local std::vector<uint32_t> NegScratch;
-    PosScratch.resize(Totals.size());
-    NegScratch.resize(Totals.size());
-    ConcreteShard &Out = Shards[F];
-    forEachFeatureCandidateSplit(
-        Pre, static_cast<unsigned>(F), PredicateMode::ConcreteMidpoint,
-        PosScratch,
-        [&](const SplitPredicate &Pred, const std::vector<uint32_t> &PosCounts,
-            uint32_t PosTotal) {
-          for (size_t C = 0; C < Totals.size(); ++C)
-            NegScratch[C] = Totals[C] - PosCounts[C];
-          double Score = splitScore(PosCounts, PosTotal, NegScratch,
-                                    Total - PosTotal);
-          // Candidates arrive in ascending threshold order, so a strict
-          // improvement test yields the smallest tied predicate.
-          if (!Out.Best || Score < Out.Score) {
-            Out.Best = Pred;
-            Out.Score = Score;
-          }
-        });
-  };
-
-  bool Sharded = Pool && Pool->size() > 0 && SplitJobs != 1 && NumFeatures > 1;
-  if (Sharded) {
-    unsigned Jobs = SplitJobs == 0 ? ThreadPool::hardwareConcurrency()
-                                   : SplitJobs;
-    OrderedFanout Fanout(Pool, NumFeatures, /*ChunkSize=*/1, ScoreFeature,
-                         /*WindowChunks=*/0, /*MaxHelpers=*/Jobs - 1);
-    for (unsigned F = 0; F < NumFeatures; ++F)
-      Fanout.awaitItem(F);
-  } else {
-    for (unsigned F = 0; F < NumFeatures; ++F)
-      ScoreFeature(F);
-  }
-
-  // Fold the per-feature argmins in feature-index order with the same
-  // strict improvement test: the first feature attaining the global
-  // minimum wins, exactly as in the serial scan.
+  std::vector<uint32_t> NegScratch(Totals.size());
   std::optional<SplitPredicate> Best;
   double BestScore = 0.0;
-  for (const ConcreteShard &Shard : Shards) {
-    if (!Shard.Best)
-      continue;
-    if (!Best || Shard.Score < BestScore) {
-      Best = Shard.Best;
-      BestScore = Shard.Score;
-    }
-  }
+  forEachCandidateSplit(
+      Ctx, Rows, PredicateMode::ConcreteMidpoint,
+      [&](const SplitPredicate &Pred, const std::vector<uint32_t> &PosCounts,
+          uint32_t PosTotal) {
+        for (size_t C = 0; C < Totals.size(); ++C)
+          NegScratch[C] = Totals[C] - PosCounts[C];
+        double Score =
+            splitScore(PosCounts, PosTotal, NegScratch, Total - PosTotal);
+        // Candidates arrive in ascending (feature, threshold) order, so a
+        // strict improvement test yields the smallest tied predicate.
+        if (!Best || Score < BestScore) {
+          Best = Pred;
+          BestScore = Score;
+        }
+      });
   return Best;
 }
 

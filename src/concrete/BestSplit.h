@@ -14,22 +14,18 @@
 /// the midpoint (a+b)/2 (`DTraceR`, §5.1); the abstract learner considers
 /// the symbolic interval [a, b) for the same pairs (Appendix B.2). Both the
 /// concrete and abstract `bestSplit` operators therefore share one
-/// enumerator, split into two layers so candidate scoring can shard across
-/// threads *per feature*:
+/// enumerator, split into two layers:
 ///
 ///  - `SplitEnumerationPrepass` — the read-only state every per-feature
 ///    pass needs (the row-membership mask and, for boolean features, the
 ///    class counts of each feature's `value == 0` side), built in one
-///    row-major pass and then shared by any number of concurrent
-///    per-feature passes.
+///    row-major pass and then shared by the per-feature passes.
 ///  - `forEachFeatureCandidateSplit` — streams one feature's candidates in
-///    ascending threshold order. Distinct features touch disjoint state,
-///    so per-feature calls are safe to run on different threads, and
-///    concatenating their emissions in feature-index order replays exactly
-///    the serial enumeration order — the property the sharded `bestSplit` /
-///    `bestSplit#` implementations rely on for bit-identical results.
-///  - `forEachCandidateSplit` — the serial composition of the two, kept as
-///    the single-threaded entry point.
+///    ascending threshold order. Calling it in feature-index order replays
+///    exactly the full enumeration order; `bestSplit#` scans this way so
+///    it can poll its meter between features.
+///  - `forEachCandidateSplit` — the composition of the two: the whole
+///    enumeration through one callback (the concrete `bestSplit`).
 ///
 /// `SplitContext` caches, per base dataset, the per-feature value-sorted row
 /// orders that make each enumeration a single filtered pass (O(|features| ×
@@ -51,7 +47,6 @@
 #include "concrete/Gini.h"
 #include "concrete/Predicate.h"
 #include "data/Dataset.h"
-#include "support/ThreadPool.h"
 
 #include <optional>
 
@@ -99,9 +94,8 @@ private:
 /// row set: the base-row membership mask and (when the schema has boolean
 /// features) the per-feature class counts of the `value == 0` side.
 /// Building it is the one row-major pass of the enumeration; afterwards it
-/// is never mutated, so any number of threads may run
-/// `forEachFeatureCandidateSplit` against one prepass concurrently. The
-/// referenced context and row list must outlive the prepass.
+/// is only read. The referenced context and row list must outlive the
+/// prepass.
 class SplitEnumerationPrepass {
 public:
   SplitEnumerationPrepass(const SplitContext &Ctx, const RowIndexList &Rows);
@@ -132,9 +126,9 @@ private:
 ///   `Cb(const SplitPredicate &P, const std::vector<uint32_t> &PosCounts,
 ///       uint32_t PosTotal)`
 /// exactly as `forEachCandidateSplit` does for the full enumeration.
-/// \p PosCounts is caller-provided scratch of size `numClasses()` (each
-/// concurrent caller brings its own). Candidates whose positive side would
-/// be empty or the whole set are skipped (trivial for every consumer).
+/// \p PosCounts is caller-provided scratch of size `numClasses()`.
+/// Candidates whose positive side would be empty or the whole set are
+/// skipped (trivial for every consumer).
 template <typename Callback>
 void forEachFeatureCandidateSplit(const SplitEnumerationPrepass &Pre,
                                   unsigned Feature, PredicateMode Mode,
@@ -251,16 +245,8 @@ void forEachCandidateSplit(const SplitContext &Ctx, const RowIndexList &Rows,
 /// broken toward the smallest (feature, threshold); the paper leaves them
 /// nondeterministic (see docs/ARCHITECTURE.md, "Deviations from the
 /// paper").
-///
-/// With \p Pool and `SplitJobs != 1` the per-feature scoring passes shard
-/// onto the pool (`SplitJobs` caps the executors recruited, 0 = one per
-/// hardware thread); the per-shard argmins fold in feature-index order
-/// with a strict improvement test, so the winner is bit-identical to the
-/// serial scan for every job count.
 std::optional<SplitPredicate> bestSplit(const SplitContext &Ctx,
-                                        const RowIndexList &Rows,
-                                        ThreadPool *Pool = nullptr,
-                                        unsigned SplitJobs = 1);
+                                        const RowIndexList &Rows);
 
 /// Rows of \p Rows on the requested side of a concrete predicate. The
 /// predicate must not be symbolic.

@@ -8,7 +8,7 @@
 /// \file
 /// The long-lived serving subsystem the ROADMAP's north star asks for:
 /// one warm `Verifier` (per-dataset acceleration structures built once),
-/// `Jobs` worker threads, one shared in-query frontier/split pool, and
+/// `Jobs` worker threads, one shared in-query frontier pool, and
 /// one `CertificateStore`, behind a request queue so many clients can
 /// stream queries at a single process. The server is deliberately
 /// store-agnostic: it holds exactly one abstract `CertificateStore`
@@ -60,7 +60,7 @@ namespace antidote {
 struct CertServerConfig {
   /// Per-query verification parameters, shared by every request: depth,
   /// domain, per-query `Limits` (whose `MaxCacheBytes` also sizes the
-  /// server's cache), and the in-query FrontierJobs/SplitJobs knobs.
+  /// server's cache), and the in-query FrontierJobs knob.
   /// `FrontierPool`, `Cache`, and `Cancel` are overwritten by the server
   /// with its own long-lived pool and store and each request's own
   /// cancellation token.

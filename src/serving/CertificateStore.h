@@ -167,7 +167,7 @@ public:
 ///    budget. A range-served certificate comes back with
 ///    `PoisoningBudget` rewritten to the queried n and
 ///    `CertifiedRadius` still naming the stored proof's radius.
-///    Scheduling knobs (FrontierJobs/SplitJobs/pools),
+///    Scheduling knobs (FrontierJobs and the pools),
 ///    the cancellation token, `Limits.MaxCacheBytes`, and the `Cache`
 ///    pointer itself are certificate-irrelevant — certificates are
 ///    bit-identical across them — and must not distinguish keys.

@@ -54,12 +54,6 @@ const OptRow Rows[] = {
      [](ServingOptions &O, uint64_t U, double, const char *) {
        O.FrontierJobs = static_cast<unsigned>(U);
      }},
-    {"--split-jobs", "ANTIDOTE_SPLIT_JOBS", OptKind::Unsigned, UINT_MAX,
-     0.0, "all cores", "N", "1",
-     "executors inside one bestSplit# scoring pass",
-     [](ServingOptions &O, uint64_t U, double, const char *) {
-       O.SplitJobs = static_cast<unsigned>(U);
-     }},
     {"--threat", "ANTIDOTE_THREAT", OptKind::Threat, 0, 0.0, nullptr,
      "removal|flip", "removal",
      "poisoning model: rows added ('removal') or relabeled ('flip')",

@@ -42,7 +42,6 @@ struct ServingOptions {
   // Parallelism (0 = all cores on each axis).
   unsigned Jobs = 1;         ///< Batch/serve worker threads.
   unsigned FrontierJobs = 1; ///< Executors inside one DTrace# frontier.
-  unsigned SplitJobs = 1;    ///< Executors inside one bestSplit# pass.
 
   // Store composition.
   uint64_t CacheBytes = 0;     ///< RAM-tier byte budget; 0 = unbounded.

@@ -24,7 +24,7 @@
 ///    different ignored caps share entries), and the three run-stopping
 ///    `ResourceLimits` knobs.
 ///
-/// Scheduling knobs (FrontierJobs/SplitJobs/pools), the cancellation
+/// Scheduling knobs (FrontierJobs and the pools), the cancellation
 /// token, `MaxCacheBytes`, and the `Cache` pointer itself never enter a
 /// key: certificates are bit-identical across them, and splitting keys
 /// on them would stop a serial client from hitting entries a 64-thread

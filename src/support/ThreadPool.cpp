@@ -132,9 +132,9 @@ struct OrderedFanout::State {
   /// Helper tasks currently *executing* drainChunks. Tasks still queued on
   /// the pool are not counted: once Stopping is set they exit on entry
   /// without touching Body, so teardown never waits on the pool's queue —
-  /// the property that lets fan-outs nest on one pool (a worker tearing
-  /// down an inner fan-out must not wait for helper tasks queued behind
-  /// the outer tasks its sibling workers are executing).
+  /// the property that lets fan-outs share one pool (a finished fan-out
+  /// must not wait for its helper tasks queued behind other fan-outs'
+  /// work).
   size_t ActiveHelpers = 0;
   bool Stopping = false; ///< Guarded by Mutex; set once at teardown.
 
@@ -201,9 +201,9 @@ struct OrderedFanout::State {
 
 OrderedFanout::OrderedFanout(ThreadPool *Pool, size_t Count, size_t ChunkSize,
                              std::function<void(size_t)> Body,
-                             size_t WindowChunks, size_t MaxHelpers)
+                             size_t WindowChunks)
     : S(std::make_shared<State>()) {
-  size_t Helpers = std::min<size_t>(Pool ? Pool->size() : 0, MaxHelpers);
+  size_t Helpers = Pool ? Pool->size() : 0;
   if (ChunkSize == 0) {
     // A few chunks per executor balances imbalanced item costs against
     // cursor traffic; 64 caps the tail a cancel can no longer skip.
@@ -305,9 +305,4 @@ std::unique_ptr<ThreadPool> antidote::makeVerificationPool(unsigned Jobs) {
   if (Jobs <= 1)
     return nullptr;
   return std::make_unique<ThreadPool>(Jobs - 1);
-}
-
-unsigned antidote::sharedFanoutJobs(unsigned FrontierJobs,
-                                    unsigned SplitJobs) {
-  return std::max(resolveJobs(FrontierJobs), resolveJobs(SplitJobs));
 }

@@ -21,8 +21,7 @@
 ///    order, so callers can aggregate results deterministically by index
 ///    regardless of thread count.
 ///  - `OrderedFanout` — the work-chunk discipline behind the frontier-
-///    parallel `DTrace#` (abstract/AbstractDTrace.cpp) and the per-feature
-///    `bestSplit#` sharding (abstract/AbstractBestSplit.cpp): workers claim
+///    parallel `DTrace#` (abstract/AbstractDTrace.cpp): workers claim
 ///    contiguous *chunks* of item indices and compute them out of order
 ///    while the calling thread consumes results strictly in index order,
 ///    computing any item the workers have not claimed yet inline. The
@@ -31,13 +30,12 @@
 ///    refuted/over-budget frontier merge stops paying for disjuncts it
 ///    will never fold in.
 ///
-/// Fan-outs may nest on one pool (a frontier transfer step running on a
-/// worker opens its own split fan-out): the destructor only waits for
-/// helper tasks that have *started*, never for ones still queued — a
-/// queued helper that runs after teardown began exits without touching
-/// the caller's stack. Without this, every worker could end up blocked
-/// waiting for its own inner helper task, queued behind the very tasks
-/// those workers are executing.
+/// Several fan-outs may share one pool (a server's concurrent requests
+/// all fan their frontiers out onto one in-query pool): the destructor
+/// only waits for helper tasks that have *started*, never for ones still
+/// queued — a queued helper that runs after teardown began exits without
+/// touching the caller's stack. Without this, a finished fan-out would
+/// wait for helper tasks queued behind other fan-outs' work.
 ///
 /// Tasks must not throw; the verifier reports failures through
 /// `Certificate`/`BudgetOutcome` values, never exceptions.
@@ -129,25 +127,18 @@ void parallelFor(ThreadPool *Pool, size_t Count,
 /// materialize the whole next frontier in memory: run-ahead is limited
 /// to the window, and workers at the horizon sleep until the consumer
 /// catches up (or cancels).
-///
-/// \p MaxHelpers caps how many of the pool's workers this fan-out
-/// recruits, so several fan-out levels can share one pool without any
-/// single level monopolizing it (the split sharding passes its
-/// `SplitJobs - 1` here while the frontier level keeps the default).
 class OrderedFanout {
 public:
   /// Starts the fan-out. A \p ChunkSize of 0 picks a default that spreads
   /// \p Count over the executors a few chunks deep.
   OrderedFanout(ThreadPool *Pool, size_t Count, size_t ChunkSize,
-                std::function<void(size_t)> Body, size_t WindowChunks = 0,
-                size_t MaxHelpers = static_cast<size_t>(-1));
+                std::function<void(size_t)> Body, size_t WindowChunks = 0);
 
   /// Cancels the unclaimed remainder, then waits until no helper task is
   /// still *executing* Body. Helper tasks still queued on the pool are
   /// not waited for — once they eventually run they observe the teardown
-  /// and exit without touching Body — so a pool worker may safely tear
-  /// down a nested fan-out whose helpers are queued behind the very
-  /// tasks the pool's workers are currently executing.
+  /// and exit without touching Body — so tearing down never waits on
+  /// work other fan-outs queued on a shared pool.
   ~OrderedFanout();
 
   OrderedFanout(const OrderedFanout &) = delete;
@@ -177,16 +168,6 @@ unsigned resolveJobs(unsigned Jobs);
 /// calling thread participates in `parallelFor`. Returns null when that
 /// resolves to 1 (strictly serial).
 std::unique_ptr<ThreadPool> makeVerificationPool(unsigned Jobs);
-
-/// Resolves the executor count for the one pool shared by the frontier
-/// (`FrontierJobs`) and split (`SplitJobs`) fan-out levels of a DTrace#
-/// run: each knob resolves through `resolveJobs`, and the pool
-/// is sized for the *wider* level, not their product — the levels share
-/// executors (a transfer step's split shards run on the same workers as
-/// its sibling disjuncts), and `FrontierJobs x SplitJobs` exceeding the
-/// pool is safe because every fan-out consumer computes unclaimed work
-/// inline instead of blocking.
-unsigned sharedFanoutJobs(unsigned FrontierJobs, unsigned SplitJobs);
 
 } // namespace antidote
 

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "abstract/AbstractBestSplit.h"
+#include "abstract/AbstractDTrace.h"
 
 #include "TestUtil.h"
 
@@ -130,6 +131,55 @@ TEST(AbstractBestSplitTest, MorePoisoningNeverShrinksTheSet) {
       EXPECT_TRUE(Psi.containsNull());
     }
     Prev = Psi;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Meter interruption: truncation is unrepresentable
+//===----------------------------------------------------------------------===//
+
+TEST(AbstractBestSplitTest, InterruptedBestSplitReturnsNullopt) {
+  Dataset Data = figure2Dataset();
+  SplitContext Ctx(Data);
+  AbstractDataset A = AbstractDataset::entire(Data, 2);
+
+  CancellationToken Token;
+  Token.cancel();
+  ResourceLimits Limits;
+  Limits.TimeoutSeconds = 0.0;
+  ResourceMeter Meter(Limits, &Token);
+
+  EXPECT_EQ(abstractBestSplit(Ctx, A, CprobTransformerKind::Optimal,
+                              GiniLiftingKind::ExactTerm, &Meter),
+            std::nullopt);
+}
+
+TEST(AbstractBestSplitTest, InterruptedBestSplitIsNeverConsumedByTheLearner) {
+  // A token cancelled before the run starts trips the first bestSplit#
+  // poll; the learner must surface Cancelled with no terminals — the
+  // nullopt result cannot silently become an (unsound) empty Ψ that
+  // completes a verdict.
+  Dataset Data = figure2Dataset();
+  SplitContext Ctx(Data);
+  float X = 5.0f;
+  CancellationToken Token;
+  Token.cancel();
+  for (AbstractDomainKind Domain :
+       {AbstractDomainKind::Box, AbstractDomainKind::Disjuncts,
+        AbstractDomainKind::DisjunctsCapped}) {
+    AbstractLearnerConfig Config;
+    Config.Depth = 3;
+    Config.Domain = Domain;
+    Config.DisjunctCap = 8;
+    Config.Limits.TimeoutSeconds = 0.0;
+    Config.Cancel = &Token;
+    AbstractLearnerResult Result = runAbstractDTrace(
+        Ctx, AbstractDataset::entire(Data, 4), &X, Config);
+    EXPECT_EQ(Result.Status, LearnerStatus::Cancelled)
+        << domainKindName(Domain);
+    EXPECT_TRUE(Result.Terminals.empty()) << domainKindName(Domain);
+    EXPECT_FALSE(Result.DominatingClass.has_value())
+        << domainKindName(Domain);
   }
 }
 

@@ -316,29 +316,72 @@ TEST(DomainPrecisionTest, DisjunctsAtLeastAsPreciseAsBox) {
 
 TEST(DomainPrecisionTest, VerifiedRobustnessIsMonotoneInBudget) {
   // If the learner proves robustness at budget n, it must also prove it at
-  // every smaller budget (the doubling protocol of §6.1 relies on this).
+  // every smaller budget, with the same class (the doubling protocol of
+  // §6.1 and the store's radius-range rule both rely on this). Covers
+  // every domain, the capped one at several caps (its overflow joins
+  // depend on n through the frontier), and label flips, whose budgets
+  // also nest.
+  struct Cell {
+    AbstractDomainKind Domain;
+    ThreatModelKind Threat;
+    size_t Cap;
+  };
+  const Cell Cells[] = {
+      {AbstractDomainKind::Box, ThreatModelKind::Removal, 0},
+      {AbstractDomainKind::Disjuncts, ThreatModelKind::Removal, 0},
+      {AbstractDomainKind::DisjunctsCapped, ThreatModelKind::Removal, 2},
+      {AbstractDomainKind::DisjunctsCapped, ThreatModelKind::Removal, 4},
+      {AbstractDomainKind::DisjunctsCapped, ThreatModelKind::Removal, 8},
+      {AbstractDomainKind::Disjuncts, ThreatModelKind::LabelFlip, 0},
+  };
   Rng R(999);
   RandomDatasetSpec Spec;
-  Spec.MaxRows = 10;
-  for (int Trial = 0; Trial < 25; ++Trial) {
+  Spec.MaxRows = 30;
+  Spec.NumClasses = 3;
+  for (int Trial = 0; Trial < 60; ++Trial) {
     Dataset Data = makeRandomDataset(R, Spec);
+    if (Trial % 2) {
+      // Uniform random labels are almost never provable past n = 0, so
+      // half the trials label each row by its feature-0 band instead:
+      // their proofs reach past n = 0, where the nesting has something
+      // to check.
+      Dataset Banded(Data.schema());
+      for (unsigned Row = 0; Row < Data.numRows(); ++Row)
+        Banded.addRow(Data.row(Row),
+                      static_cast<unsigned>(Data.value(Row, 0)) *
+                          Spec.NumClasses / Spec.DistinctValues);
+      Data = std::move(Banded);
+    }
     SplitContext Ctx(Data);
-    unsigned Depth = 1 + static_cast<unsigned>(R.uniformInt(2));
+    unsigned Depth = 1 + static_cast<unsigned>(R.uniformInt(3));
     std::vector<float> X = makeRandomQuery(R, Spec);
-    for (AbstractDomainKind Domain :
-         {AbstractDomainKind::Box, AbstractDomainKind::Disjuncts}) {
+    for (const Cell &C : Cells) {
+      AbstractLearnerConfig Config = baseConfig(C.Domain, Depth);
+      Config.Threat = C.Threat;
+      if (C.Cap)
+        Config.DisjunctCap = C.Cap;
+      std::string Label = std::string(domainKindName(C.Domain)) + "/" +
+                          threatModelName(C.Threat) +
+                          " cap=" + std::to_string(C.Cap) +
+                          " depth=" + std::to_string(Depth) + " trial " +
+                          std::to_string(Trial);
+      std::optional<uint32_t> Prev;
       bool PrevProven = true;
-      for (uint32_t N = 0; N <= 4; ++N) {
+      for (uint32_t N = 0; N <= 8; ++N) {
         AbstractLearnerResult Result = runAbstractDTrace(
-            Ctx, AbstractDataset::entire(Data, N), X.data(),
-            baseConfig(Domain, Depth));
+            Ctx, AbstractDataset::entire(Data, N), X.data(), Config);
+        ASSERT_EQ(Result.Status, LearnerStatus::Completed) << Label;
         bool Proven = Result.DominatingClass.has_value();
         if (!PrevProven) {
           EXPECT_FALSE(Proven)
-              << domainKindName(Domain) << ": proved at n=" << N
-              << " but not at n-1";
+              << Label << ": proved at n=" << N << " but not at n-1";
+        }
+        if (Proven && Prev) {
+          EXPECT_EQ(*Result.DominatingClass, *Prev)
+              << Label << ": class changed at n=" << N;
         }
         PrevProven = Proven;
+        Prev = Result.DominatingClass;
       }
     }
   }

@@ -172,7 +172,6 @@ TEST(CertCacheTest, SchedulingKnobsShareEntries) {
   // serial one stored.
   VerifierConfig Parallel = Serial;
   Parallel.FrontierJobs = 4;
-  Parallel.SplitJobs = 2;
   std::unique_ptr<ThreadPool> Pool = makeVerificationPool(4);
   Parallel.FrontierPool = Pool.get();
   Certificate Warm = V.verify(X, 2, Parallel);

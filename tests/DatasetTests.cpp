@@ -184,3 +184,63 @@ TEST(CsvTest, LoadMissingFileFails) {
   EXPECT_FALSE(Result.succeeded());
   EXPECT_FALSE(Result.Error.empty());
 }
+
+//===----------------------------------------------------------------------===//
+// CSV line endings: CRLF, trailing blank lines, ragged rows
+//===----------------------------------------------------------------------===//
+
+TEST(CsvLineEndingTest, CrlfParsesIdenticalToLf) {
+  const std::string Lf = "1.5,2.5,0\n3.5,4.5,1\n";
+  const std::string Crlf = "1.5,2.5,0\r\n3.5,4.5,1\r\n";
+  CsvLoadResult A = parseCsvDataset(Lf);
+  CsvLoadResult B = parseCsvDataset(Crlf);
+  ASSERT_TRUE(A.succeeded()) << A.Error;
+  ASSERT_TRUE(B.succeeded()) << B.Error;
+  ASSERT_EQ(A.Data->numRows(), B.Data->numRows());
+  ASSERT_EQ(A.Data->numFeatures(), B.Data->numFeatures());
+  for (unsigned Row = 0; Row < A.Data->numRows(); ++Row) {
+    EXPECT_EQ(A.Data->label(Row), B.Data->label(Row)) << "row " << Row;
+    for (unsigned F = 0; F < A.Data->numFeatures(); ++F)
+      EXPECT_EQ(A.Data->value(Row, F), B.Data->value(Row, F))
+          << "row " << Row << ", feature " << F;
+  }
+}
+
+TEST(CsvLineEndingTest, CrlfDoesNotChangeBooleanInference) {
+  // A '\r' riding along on the last cell must not turn a {0,1} column
+  // real (the last column is the label; the second feature is all-{0,1}).
+  CsvLoadResult R = parseCsvDataset("0.5,1,0\r\n2.5,0,1\r\n");
+  ASSERT_TRUE(R.succeeded()) << R.Error;
+  EXPECT_EQ(R.Data->schema().FeatureKinds[0], FeatureKind::Real);
+  EXPECT_EQ(R.Data->schema().FeatureKinds[1], FeatureKind::Boolean);
+}
+
+TEST(CsvLineEndingTest, TrailingBlankLinesCreateNoPhantomRows) {
+  for (const std::string &Text :
+       {std::string("1,2,0\n3,4,1\n\n"), std::string("1,2,0\n3,4,1\n\n\n"),
+        std::string("1,2,0\r\n3,4,1\r\n\r\n"),
+        std::string("1,2,0\n3,4,1\n   \n\t\n")}) {
+    CsvLoadResult R = parseCsvDataset(Text);
+    ASSERT_TRUE(R.succeeded()) << R.Error;
+    EXPECT_EQ(R.Data->numRows(), 2u) << "text: " << Text;
+  }
+}
+
+TEST(CsvLineEndingTest, StrayInteriorCarriageReturnIsAnError) {
+  // Previously a mid-line '\r' silently truncated the row at that point.
+  CsvLoadResult R = parseCsvDataset("1.0\r2.0,3.0,0\n");
+  EXPECT_FALSE(R.succeeded());
+  EXPECT_NE(R.Error.find("carriage return"), std::string::npos) << R.Error;
+}
+
+TEST(CsvLineEndingTest, RaggedRowsAreAnErrorNotATruncation) {
+  CsvLoadResult Short = parseCsvDataset("1,2,3,0\n1,2,0\n");
+  EXPECT_FALSE(Short.succeeded());
+  EXPECT_NE(Short.Error.find("expected 3 features"), std::string::npos)
+      << Short.Error;
+
+  CsvLoadResult Trailing = parseCsvDataset("1,2,0\n3,4,\n");
+  EXPECT_FALSE(Trailing.succeeded());
+  EXPECT_NE(Trailing.Error.find("trailing comma"), std::string::npos)
+      << Trailing.Error;
+}

@@ -8,9 +8,9 @@ tolerance (default 25%). Output is a GitHub-flavoured markdown table
 suitable for `$GITHUB_STEP_SUMMARY`.
 
 Gated benchmarks are the families in `DEFAULT_PATTERNS`: the cache-hit
-path, the frontier fan-out, the bestSplit# sharding, the disk-store
-restart path, the SoA kernels with the concrete/abstract bestSplit,
-restrict and Gini benches they feed, and the label-flip verify.
+path, the frontier fan-out, the disk-store restart path, the SoA
+kernels with the concrete/abstract bestSplit, restrict and Gini
+benches they feed, and the label-flip verify.
 Comparison uses *cpu_time* — wall clock on shared runners
 is hostage to the neighbours, and every gated path's win is
 CPU-visible — normalized through each entry's `time_unit`.
@@ -41,7 +41,6 @@ import sys
 DEFAULT_PATTERNS = [
     r"^BM_CacheHitRate",
     r"^BM_VerifyFrontierJobs",
-    r"^BM_BestSplitJobs",
     r"^BM_DiskStoreHitRate",
     r"^BM_Kernel",
     r"^BM_ConcreteBestSplit",
