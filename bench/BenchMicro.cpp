@@ -299,24 +299,23 @@ BENCHMARK(BM_PoisoningSweepJobs)
     ->UseRealTime();
 
 // Frontier-parallel scaling of a single hard query: one deep Disjuncts
-// verification whose per-depth frontiers are large enough to fan out, at
-// FrontierJobs = 1/2/4. The certificate (and every counter in it) is
-// identical across thread counts (tests/FrontierParallelTests.cpp
-// enforces this); only real time should move, and only on multi-core
-// machines — hence UseRealTime, and expect ~1x on a single core.
+// verification whose per-depth frontiers are large enough to fan out,
+// handed a pool of 1/2/4 executors (the `--jobs N` of a one-shot
+// antidote_cli query). The certificate (and every counter in it) is
+// identical across pool sizes (tests/FrontierParallelTests.cpp enforces
+// this); only real time should move, and only on multi-core machines —
+// hence UseRealTime, and expect ~1x on a single core.
 static void BM_VerifyFrontierJobs(benchmark::State &State) {
   VerifierConfig Config;
   Config.Depth = 3;
   Config.Domain = AbstractDomainKind::Disjuncts;
   Config.Limits.TimeoutSeconds = 30.0;
-  Config.FrontierJobs = static_cast<unsigned>(State.range(0));
   std::unique_ptr<ThreadPool> Pool =
-      makeVerificationPool(Config.FrontierJobs);
-  Config.FrontierPool = Pool.get();
+      makeVerificationPool(static_cast<unsigned>(State.range(0)));
   const float *X = mammo().Split.Test.row(1);
   for (auto _ : State) {
     Certificate Cert = mammoVerifier().verify(X, /*PoisoningBudget=*/16,
-                                              Config);
+                                              Config, Pool.get());
     benchmark::DoNotOptimize(Cert.Kind);
   }
 }

@@ -41,25 +41,17 @@ SweepConfig antidote::benchutil::scaledConfig() {
   return Config;
 }
 
-static unsigned jobsFromEnvVar(const char *Name) {
+unsigned antidote::benchutil::benchJobsFromEnv() {
   // Mirror the CLI parsers (shared report in support/Parse): a typo must
   // not silently become 0 (bare atoi) or wrap to a huge unsigned and
   // spawn a clamped-but-large pool.
   EnvNumber Env = readUnsignedEnvReporting(
-      Name, "all cores", std::numeric_limits<unsigned>::max());
+      "ANTIDOTE_JOBS", "all cores", std::numeric_limits<unsigned>::max());
   if (Env.Status == EnvNumberStatus::Malformed)
     std::exit(2);
   return Env.Status == EnvNumberStatus::Ok
              ? static_cast<unsigned>(Env.Value)
              : 1;
-}
-
-unsigned antidote::benchutil::benchJobsFromEnv() {
-  return jobsFromEnvVar("ANTIDOTE_JOBS");
-}
-
-unsigned antidote::benchutil::benchFrontierJobsFromEnv() {
-  return jobsFromEnvVar("ANTIDOTE_FRONTIER_JOBS");
 }
 
 std::optional<uint64_t> antidote::benchutil::benchCacheBytesFromEnv() {
@@ -77,12 +69,10 @@ antidote::benchutil::runFigureBench(const FigureBenchSpec &Spec) {
   BenchScale Scale = benchScaleFromEnv();
   SweepConfig Config = Scale == BenchScale::Full ? Spec.Full : Spec.Scaled;
   Config.Jobs = benchJobsFromEnv();
-  Config.FrontierJobs = benchFrontierJobsFromEnv();
   std::optional<uint64_t> CacheBytes = benchCacheBytesFromEnv();
   std::unique_ptr<CertCache> Cache;
   if (CacheBytes) {
-    Config.InstanceLimits.MaxCacheBytes = *CacheBytes;
-    Cache = std::make_unique<CertCache>(Config.InstanceLimits);
+    Cache = std::make_unique<CertCache>(*CacheBytes);
     Config.Cache = Cache.get();
   }
 
@@ -91,10 +81,9 @@ antidote::benchutil::runFigureBench(const FigureBenchSpec &Spec) {
               Spec.DatasetName.c_str());
   std::printf("scale: %s (set ANTIDOTE_BENCH_SCALE=full for paper scale); "
               "jobs: %u (ANTIDOTE_JOBS; 0 = all cores); "
-              "frontier jobs: %u (ANTIDOTE_FRONTIER_JOBS); "
               "cert cache: %s (ANTIDOTE_CACHE_BYTES)\n",
               Scale == BenchScale::Full ? "full" : "scaled", Config.Jobs,
-              Config.FrontierJobs, Cache ? "on" : "off");
+              Cache ? "on" : "off");
   std::printf("train %u rows x %u features; verifying %zu test inputs; "
               "timeout %.1fs/instance\n\n",
               Bench.Split.Train.numRows(), Bench.Split.Train.numFeatures(),

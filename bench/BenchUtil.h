@@ -48,10 +48,6 @@ SweepConfig scaledConfig();
 /// one per hardware thread). Defaults to 1 (serial).
 unsigned benchJobsFromEnv();
 
-/// Reads ANTIDOTE_FRONTIER_JOBS: executors inside each instance's DTrace#
-/// frontier ("0" = one per hardware thread). Defaults to 1 (serial).
-unsigned benchFrontierJobsFromEnv();
-
 /// Reads ANTIDOTE_CACHE_BYTES: when set, the figure bench attaches a
 /// certificate cache with this byte budget ("0" = unbounded) to its
 /// sweep and reports the hit/miss stats. Unset (the default) runs

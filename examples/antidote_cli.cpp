@@ -20,7 +20,7 @@
 //
 // --serve turns the process into a warm certificate server: queries
 // stream in on stdin (one "v1,v2,..." feature vector per line), are
-// batched through one long-lived Verifier + thread pool, and repeated
+// answered by one long-lived Verifier on --jobs workers, and repeated
 // queries short-circuit to the fingerprint-keyed certificate store.
 //
 // The store is composed here, at the wiring layer: a RAM LRU
@@ -429,8 +429,6 @@ int main(int Argc, char **Argv) {
     ServerConfig.Query.Threat = Serving.Threat;
     ServerConfig.Query.DisjunctCap = Options.DisjunctCap;
     ServerConfig.Query.Limits.TimeoutSeconds = Options.TimeoutSeconds;
-    ServerConfig.Query.Limits.MaxCacheBytes = Serving.CacheBytes;
-    ServerConfig.Query.FrontierJobs = Serving.FrontierJobs;
     ServerConfig.Jobs = Serving.Jobs;
     ServerConfig.Store = Store;
     CertServer Server(Train, ServerConfig);
@@ -490,8 +488,6 @@ int main(int Argc, char **Argv) {
     ServerConfig.Query.Threat = Serving.Threat;
     ServerConfig.Query.DisjunctCap = Options.DisjunctCap;
     ServerConfig.Query.Limits.TimeoutSeconds = Options.TimeoutSeconds;
-    ServerConfig.Query.Limits.MaxCacheBytes = Serving.CacheBytes;
-    ServerConfig.Query.FrontierJobs = Serving.FrontierJobs;
     ServerConfig.Jobs = Serving.Jobs;
     ServerConfig.Store = Store;
     CertServer Server(Train, ServerConfig);
@@ -569,8 +565,6 @@ int main(int Argc, char **Argv) {
   Config.Threat = Serving.Threat;
   Config.DisjunctCap = Options.DisjunctCap;
   Config.Limits.TimeoutSeconds = Options.TimeoutSeconds;
-  Config.Limits.MaxCacheBytes = Serving.CacheBytes;
-  Config.FrontierJobs = Serving.FrontierJobs;
   // The one-shot and --all modes reuse the same composed store: a
   // RAM-only cache is pointless for a one-shot batch with distinct rows
   // but demos the hit path; the two-tier composition with a --cache-dir
@@ -578,21 +572,16 @@ int main(int Argc, char **Argv) {
   // same query answers from disk.
   if (Store)
     Config.Cache = Store;
-  // One frontier pool shared by every query of the process (it outlives
-  // the verify/verifyBatch calls below); null when --frontier-jobs is 1.
-  std::unique_ptr<ThreadPool> FrontierPool =
-      makeVerificationPool(Serving.FrontierJobs);
-  Config.FrontierPool = FrontierPool.get();
+  // The process's one pool: --all spreads its rows over it, a lone query
+  // its DTrace# frontier. Null when --jobs is 1.
+  std::unique_ptr<ThreadPool> Pool = makeVerificationPool(Serving.Jobs);
 
   if (Options.AllRows) {
     std::vector<const float *> Inputs;
     for (uint32_t Row = 0; Row < Test.numRows(); ++Row)
       Inputs.push_back(Test.row(Row));
-    std::unique_ptr<ThreadPool> Pool = makeVerificationPool(Serving.Jobs);
-    std::printf("verifying %zu test rows on %u thread(s), %u shared "
-                "frontier executor(s) per query\n",
-                Inputs.size(), Pool ? Pool->size() + 1 : 1,
-                FrontierPool ? FrontierPool->size() + 1 : 1);
+    std::printf("verifying %zu test rows on %u thread(s)\n", Inputs.size(),
+                Pool ? Pool->size() + 1 : 1);
     std::vector<Certificate> Certs =
         V.verifyBatch(Inputs, Options.Budget, Config, Pool.get());
     unsigned Robust = 0;
@@ -606,7 +595,8 @@ int main(int Argc, char **Argv) {
     return Robust == Certs.size() ? 0 : 1;
   }
 
-  Certificate Cert = V.verify(Query.data(), Options.Budget, Config);
+  Certificate Cert = V.verify(Query.data(), Options.Budget, Config,
+                              Pool.get());
   std::printf("prediction: class %u\n", Cert.ConcretePrediction);
   std::printf("verdict: %s\n", Cert.summary().c_str());
   printStoreLines(Cache.get(), DiskStore.get());

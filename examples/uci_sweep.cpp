@@ -8,9 +8,8 @@
 // fraction-verified curve (one row of the paper's Figure 6).
 //
 // Usage:
-//   uci_sweep [--jobs N] [--frontier-jobs N] [--threat removal|flip]
-//             [dataset-name]
-//   uci_sweep [--jobs N] [--frontier-jobs N] --csv train.csv test.csv
+//   uci_sweep [--jobs N] [--threat removal|flip] [dataset-name]
+//   uci_sweep [--jobs N] --csv train.csv test.csv
 //
 // The serving knobs (cache, disk store, threat model, parallelism) come
 // from the shared ServingOptions table — the same flags and ANTIDOTE_*
@@ -82,7 +81,17 @@ int main(int Argc, char **Argv) {
     printUsage(Program);
     return 0;
   }
-  if (Argc >= 2 && std::strcmp(Argv[1], "--csv") == 0) {
+  // parse left only what the table does not know: anything past the
+  // positional arguments (say, a removed flag after the dataset name) is
+  // a usage error, not something to ignore.
+  const bool Csv = Argc >= 2 && std::strcmp(Argv[1], "--csv") == 0;
+  const int MaxArgc = Csv ? 4 : 2;
+  if (Argc > MaxArgc) {
+    std::fprintf(stderr, "error: unexpected argument '%s'\n",
+                 Argv[MaxArgc]);
+    return 1;
+  }
+  if (Csv) {
     if (Argc < 4) {
       printUsage(Program);
       return 1;
@@ -120,9 +129,9 @@ int main(int Argc, char **Argv) {
   std::printf("=== Poisoning-robustness sweep: %s (threat %s) ===\n",
               Name.c_str(), threatModelName(Serving.Threat));
   std::printf("train %u rows x %u features, verifying %zu test inputs, "
-              "%u job(s), %u frontier job(s)\n",
+              "%u job(s)\n",
               Train.numRows(), Train.numFeatures(), VerifyRows.size(),
-              Serving.Jobs, Serving.FrontierJobs);
+              Serving.Jobs);
   if (Serving.Threat == ThreatModelKind::LabelFlip)
     std::printf("note: box-domain cells are skipped — the flip "
                 "class-probability transformer is sound only under the "
@@ -133,10 +142,8 @@ int main(int Argc, char **Argv) {
   Config.Depths = {1, 2};
   Config.Threat = Serving.Threat;
   Config.InstanceLimits.TimeoutSeconds = 2.0;
-  Config.InstanceLimits.MaxCacheBytes = Serving.CacheBytes;
   Config.MaxPoisoning = Train.numRows();
   Config.Jobs = Serving.Jobs;
-  Config.FrontierJobs = Serving.FrontierJobs;
   // The store composition, shared with antidote_cli: RAM LRU in front,
   // persistent tier behind (--cache-dir / ANTIDOTE_CACHE_DIR — a re-run
   // of the same sweep answers its deterministic cells from disk), both

@@ -107,10 +107,6 @@ private:
   DominationTracker Tracker;
   ResourceMeter Meter;
   AbstractLearnerResult Result;
-
-  /// The run's frontier fan-out pool (null = inline). Set once in run()
-  /// before the first fan-out starts, then only read.
-  ThreadPool *Pool = nullptr;
 };
 
 } // namespace
@@ -163,17 +159,8 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
   assert(Model.supportsDomain(Config.Domain) &&
          "threat model does not support the requested abstract domain");
   Timer Elapsed;
-
-  // The run's frontier fan-out pool: an externally owned one (shared
-  // across a sweep's instances) wins; otherwise spawn one sized by
-  // FrontierJobs. Null/empty means everything runs inline on this thread.
-  // FrontierJobs == 1 skips the factory, which reads the CPU count.
-  std::unique_ptr<ThreadPool> OwnedPool;
-  Pool = Config.FrontierPool;
-  if (!Pool && Config.FrontierJobs != 1) {
-    OwnedPool = makeVerificationPool(Config.FrontierJobs);
-    Pool = OwnedPool.get();
-  }
+  // Null/empty means everything runs inline on this thread.
+  ThreadPool *Pool = Config.FrontierPool;
 
   std::vector<AbstractDataset> Frontier;
   Frontier.push_back(Initial);
@@ -189,7 +176,7 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
       // order while the merge below consumes them strictly in disjunct-
       // index order — replaying exactly the serial emission order, so
       // terminals, counters, and abort points are identical for every
-      // FrontierJobs value.
+      // pool size.
       // The claim window bounds how far the workers may run ahead of the
       // merge (a few chunks per executor): without it, a run that a
       // budget cap would stop mid-merge could first materialize the

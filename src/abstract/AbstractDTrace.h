@@ -34,7 +34,7 @@
 /// fan-out, the resource accounting, and cancellation below.
 ///
 /// Each depth iteration is split into two phases so one verification can
-/// scale across cores (`FrontierJobs`): a pure per-disjunct *transfer*
+/// scale across cores (`FrontierPool`): a pure per-disjunct *transfer*
 /// phase (the `ent = 0` conditional, `bestSplit#`, and `filter#` for one
 /// disjunct, producing that disjunct's terminals and children) that fans
 /// out over a `ThreadPool`, and a sequential *merge* phase — the single
@@ -43,7 +43,7 @@
 /// index order. Each transfer step runs `bestSplit#` serially on its
 /// executor. Because every merge replays exactly the serial order, the
 /// result (terminals, certificates, `PeakDisjuncts`, `PeakStateBytes`,
-/// `BestSplitCalls`) is bit-identical for every `FrontierJobs` value in
+/// `BestSplitCalls`) is bit-identical for every pool size in
 /// all three domains; only wall-clock time changes.
 ///
 //===----------------------------------------------------------------------===//
@@ -105,22 +105,16 @@ struct AbstractLearnerConfig {
   /// verification; disable to obtain the complete terminal set in tests).
   bool StopOnRefutation = true;
 
-  /// Executors for the per-frontier disjunct fan-out: 1 (default) keeps
-  /// the whole run on the calling thread, 0 means one executor per
-  /// hardware thread. Results are bit-identical for every value; this is
-  /// purely a wall-clock knob for the huge-frontier regimes of the
-  /// disjunctive domains (a Box run has a one-element frontier and never
-  /// fans out).
-  unsigned FrontierJobs = 1;
-
-  /// Optional externally owned pool for the frontier fan-out; when set
-  /// it is used as-is and its size, not `FrontierJobs`, sets the fan-out
-  /// width (a sweep shares one pool across its instances instead of
-  /// re-spawning threads per query). Null means the run spawns its own
-  /// pool sized by `FrontierJobs`. The pool may be shared with other
-  /// concurrent runs: every fan-out's consumer computes unclaimed work
-  /// itself, so a starved fan-out degrades to serial instead of
-  /// deadlocking.
+  /// Optional pool the per-frontier disjunct fan-out spreads over, with
+  /// the calling thread as one more executor; null (default) or empty
+  /// keeps the whole run on the calling thread. Results are bit-identical
+  /// for every pool size; this is purely a wall-clock knob for the
+  /// huge-frontier regimes of the disjunctive domains (a Box run has a
+  /// one-element frontier and never fans out). The pool is externally
+  /// owned, so a caller issuing many runs spawns its threads once. It may
+  /// be shared with other concurrent runs: every fan-out's consumer
+  /// computes unclaimed work itself, so a starved fan-out degrades to
+  /// serial instead of deadlocking.
   ThreadPool *FrontierPool = nullptr;
 };
 

@@ -22,7 +22,7 @@
 ///     interval predicates for removal, concrete midpoints for flips
 ///     (so `AbstractDataset::restrict`'s equation (1) applies verbatim),
 ///
-/// so `AbstractDTrace`'s engine — the FrontierJobs fan-out,
+/// so `AbstractDTrace`'s engine — the frontier fan-out,
 /// ResourceMeter accounting, cooperative cancellation, domination
 /// tracking — is shared by every model. Both models share the abstract
 /// state ⟨T, n⟩ (`AbstractDataset`): removal reads it as "any subset

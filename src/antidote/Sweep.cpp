@@ -24,7 +24,7 @@ public:
   ProtocolRun(const Verifier &V, const Dataset &Test,
               const std::vector<uint32_t> &VerifyRows,
               const SweepConfig &Config, const SweepDomainSpec &Spec,
-              unsigned Depth, ThreadPool *Pool, ThreadPool *FrontierPool)
+              unsigned Depth, ThreadPool *Pool)
       : V(V), Test(Test), VerifyRows(VerifyRows), Config(Config),
         Pool(Pool) {
     Series.Depth = Depth;
@@ -38,8 +38,6 @@ public:
     QueryConfig.DisjunctCap = Spec.DisjunctCap;
     QueryConfig.Limits = Config.InstanceLimits;
     QueryConfig.Cancel = Config.Cancel;
-    QueryConfig.FrontierJobs = Config.FrontierJobs;
-    QueryConfig.FrontierPool = FrontierPool;
     QueryConfig.Cache = Config.Cache;
   }
 
@@ -195,16 +193,9 @@ SweepResult antidote::runPoisoningSweep(
   SweepResult Result;
   Result.VerifyRows = VerifyRows;
 
-  // One pool per axis for the whole sweep; all-1 knobs stay strictly
-  // serial (the caller's thread does all the work inside verifyBatch /
-  // the frontier merge). The in-query pool serves the frontier fan-out
-  // of every instance — concurrent queries interleave their chunk tasks
-  // on it safely, and each fan-out's consumer picks up unclaimed work
-  // itself, so contention degrades toward serial rather than
-  // deadlocking.
+  // One pool for the whole sweep, spreading each probe's instances;
+  // Jobs = 1 stays strictly serial on the caller's thread.
   std::unique_ptr<ThreadPool> Pool = makeVerificationPool(Config.Jobs);
-  std::unique_ptr<ThreadPool> FrontierPool =
-      makeVerificationPool(Config.FrontierJobs);
 
   for (unsigned Depth : Config.Depths)
     for (const SweepDomainSpec &Spec : Config.Domains) {
@@ -212,8 +203,7 @@ SweepResult antidote::runPoisoningSweep(
         continue;
       if (Config.Cancel && Config.Cancel->cancelled())
         return Result;
-      ProtocolRun Run(V, Test, VerifyRows, Config, Spec, Depth, Pool.get(),
-                      FrontierPool.get());
+      ProtocolRun Run(V, Test, VerifyRows, Config, Spec, Depth, Pool.get());
       Result.Series.push_back(Run.run());
     }
   return Result;

@@ -82,17 +82,10 @@ struct SweepConfig {
                                    /*MaxDisjuncts=*/1u << 18,
                                    /*MaxStateBytes=*/1ull << 31};
 
-  /// Worker threads for the per-instance fan-out. 1 = serial; 0 = one per
+  /// Executors for the per-instance fan-out; each instance's frontier
+  /// runs serially on the executor that took it. 1 = serial; 0 = one per
   /// hardware thread. Results are identical for every value.
   unsigned Jobs = 1;
-
-  /// Executors for the frontier fan-out *within* each instance's DTrace#
-  /// run (1 = serial, 0 = one per hardware thread); one pool is shared by
-  /// every instance of the sweep. Orthogonal to `Jobs`: `Jobs` helps when
-  /// a probe has many instances, `FrontierJobs` when a few hard instances
-  /// with huge disjunctive frontiers dominate. Results are identical for
-  /// every value (the wall-clock-timeout caveat above applies equally).
-  unsigned FrontierJobs = 1;
 
   /// Optional shared stop lever: cancelling it ends the sweep early (the
   /// partial result is still well-formed).

@@ -50,7 +50,8 @@ TraceResult Verifier::trace(const float *X, unsigned Depth) const {
 }
 
 Certificate Verifier::verify(const float *X, uint32_t PoisoningBudget,
-                             const VerifierConfig &Config) const {
+                             const VerifierConfig &Config,
+                             ThreadPool *Pool) const {
   if (Config.Cache) {
     Certificate Cached;
     if (Config.Cache->lookup(Fingerprint, X, Train->numFeatures(),
@@ -75,8 +76,7 @@ Certificate Verifier::verify(const float *X, uint32_t PoisoningBudget,
   LearnerConfig.DisjunctCap = Config.DisjunctCap;
   LearnerConfig.Limits = Config.Limits;
   LearnerConfig.Cancel = Config.Cancel;
-  LearnerConfig.FrontierJobs = Config.FrontierJobs;
-  LearnerConfig.FrontierPool = Config.FrontierPool;
+  LearnerConfig.FrontierPool = Pool;
 
   AbstractDataset Initial = AbstractDataset::entire(*Train, PoisoningBudget);
   AbstractLearnerResult Run = runAbstractDTrace(Ctx, Initial, X,

@@ -62,19 +62,6 @@ struct VerifierConfig {
   /// reason) — the lever `verifyBatch` callers use to abandon a batch.
   const CancellationToken *Cancel = nullptr;
 
-  /// Executors for the frontier fan-out *within* one query's DTrace# run
-  /// (1 = serial, 0 = one per hardware thread). Orthogonal to the batch-
-  /// level pool `verifyBatch` takes: that knob spreads independent
-  /// queries across cores, this one spreads a single hard query's
-  /// disjuncts. Certificates are bit-identical for every value.
-  unsigned FrontierJobs = 1;
-
-  /// Optional externally owned pool for the frontier fan-out (its size
-  /// replaces FrontierJobs; see AbstractLearnerConfig). A sweep passes
-  /// one long-lived pool here so thousands of queries do not each
-  /// re-spawn threads.
-  ThreadPool *FrontierPool = nullptr;
-
   /// Optional certificate store consulted before verifying and updated
   /// after (serving traffic mostly repeats queries, so a warm cache
   /// short-circuits them to the stored certificate). Implementations
@@ -114,16 +101,21 @@ public:
   TraceResult trace(const float *X, unsigned Depth) const;
 
   /// Attempts to prove that x's prediction is invariant across every
-  /// training set in ∆n(T), n = \p PoisoningBudget.
+  /// training set in ∆n(T), n = \p PoisoningBudget. \p Pool (plus the
+  /// calling thread) spreads this one query's DTrace# frontier; a
+  /// null/empty pool runs it serially. The certificate is bit-identical
+  /// for every pool size (timings aside).
   Certificate verify(const float *X, uint32_t PoisoningBudget,
-                     const VerifierConfig &Config) const;
+                     const VerifierConfig &Config,
+                     ThreadPool *Pool = nullptr) const;
 
   /// Verifies every input of \p Inputs under the same budget and config,
   /// fanning the independent queries out across \p Pool (plus the calling
-  /// thread). Certificates come back indexed like Inputs, and each query's
-  /// verdict is independent of scheduling, so results are deterministic
-  /// and thread-count-independent (timings aside). A null/empty pool runs
-  /// serially.
+  /// thread); each query's frontier runs serially on the executor that
+  /// took it, so fan-outs never nest. Certificates come back indexed like
+  /// Inputs, and each query's verdict is independent of scheduling, so
+  /// results are deterministic and thread-count-independent (timings
+  /// aside). A null/empty pool runs serially.
   std::vector<Certificate> verifyBatch(const std::vector<const float *> &Inputs,
                                        uint32_t PoisoningBudget,
                                        const VerifierConfig &Config,

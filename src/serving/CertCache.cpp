@@ -19,7 +19,7 @@ uint64_t CertCache::entryBytes(const StoreKey &K) {
   // link and the cached hash) plus its share of the bucket array, and
   // the LRU list node (two links + the key pointer payload). Approximate
   // by design — the point is a charge that can only overcount, never
-  // undercount to just the certificate bytes, so a tiny `MaxCacheBytes`
+  // undercount to just the certificate bytes, so a tiny `MaxBytes`
   // budget bounds the *real* footprint too.
   using Pair = std::pair<const StoreKey, Slot>;
   const uint64_t MapNode = 2 * sizeof(void *) + sizeof(size_t);

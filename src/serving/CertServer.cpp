@@ -13,13 +13,11 @@
 using namespace antidote;
 
 CertServer::CertServer(const Dataset &Train, const CertServerConfig &Config)
-    : Config(Config), V(Train),
-      FrontierPool(makeVerificationPool(Config.Query.FrontierJobs)) {
+    : Config(Config), V(Train) {
   // The server owns the long-lived halves of the query config; whatever
   // the caller put there is replaced (`Cancel` per request, in `serve`).
   // The store is taken as configured — abstract, already composed by the
   // wiring layer.
-  this->Config.Query.FrontierPool = FrontierPool.get();
   this->Config.Query.Cache = Config.Store;
   unsigned Jobs = resolveJobs(Config.Jobs);
   Workers.reserve(Jobs);

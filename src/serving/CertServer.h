@@ -8,8 +8,8 @@
 /// \file
 /// The long-lived serving subsystem the ROADMAP's north star asks for:
 /// one warm `Verifier` (per-dataset acceleration structures built once),
-/// `Jobs` worker threads, one shared in-query frontier pool, and
-/// one `CertificateStore`, behind a request queue so many clients can
+/// `Jobs` worker threads, each running one query's frontier serially,
+/// and one `CertificateStore`, behind a request queue so many clients can
 /// stream queries at a single process. The server is deliberately
 /// store-agnostic: it holds exactly one abstract `CertificateStore`
 /// pointer and never names a concrete tier — the wiring layer composes
@@ -59,10 +59,8 @@ namespace antidote {
 /// Server-wide parameters.
 struct CertServerConfig {
   /// Per-query verification parameters, shared by every request: depth,
-  /// domain, per-query `Limits` (whose `MaxCacheBytes` also sizes the
-  /// server's cache), and the in-query FrontierJobs knob.
-  /// `FrontierPool`, `Cache`, and `Cancel` are overwritten by the server
-  /// with its own long-lived pool and store and each request's own
+  /// domain, threat model, and per-query `Limits`. `Cache` and `Cancel`
+  /// are overwritten by the server with its store and each request's own
   /// cancellation token.
   VerifierConfig Query;
 
@@ -223,7 +221,6 @@ private:
 
   CertServerConfig Config;
   Verifier V;
-  std::unique_ptr<ThreadPool> FrontierPool;
 
   mutable std::mutex Mutex;
   std::condition_variable QueueChanged; ///< Signalled on submit/stop.

@@ -167,8 +167,7 @@ public:
 ///    budget. A range-served certificate comes back with
 ///    `PoisoningBudget` rewritten to the queried n and
 ///    `CertifiedRadius` still naming the stored proof's radius.
-///    Scheduling knobs (FrontierJobs and the pools),
-///    the cancellation token, `Limits.MaxCacheBytes`, and the `Cache`
+///    The pool a query runs on, the cancellation token, and the `Cache`
 ///    pointer itself are certificate-irrelevant — certificates are
 ///    bit-identical across them — and must not distinguish keys.
 ///  - The verifier only offers deterministic verdicts for storage

@@ -44,15 +44,10 @@ struct OptRow {
 
 const OptRow Rows[] = {
     {"--jobs", "ANTIDOTE_JOBS", OptKind::Unsigned, UINT_MAX, 0.0,
-     "all cores", "N", "1", "worker threads for batch/serve/listen modes",
+     "all cores", "N", "1",
+     "executors: a batch's queries, or one query's frontier",
      [](ServingOptions &O, uint64_t U, double, const char *) {
        O.Jobs = static_cast<unsigned>(U);
-     }},
-    {"--frontier-jobs", "ANTIDOTE_FRONTIER_JOBS", OptKind::Unsigned,
-     UINT_MAX, 0.0, "all cores", "N", "1",
-     "executors inside one query's DTrace# frontier",
-     [](ServingOptions &O, uint64_t U, double, const char *) {
-       O.FrontierJobs = static_cast<unsigned>(U);
      }},
     {"--threat", "ANTIDOTE_THREAT", OptKind::Threat, 0, 0.0, nullptr,
      "removal|flip", "removal",

@@ -39,9 +39,9 @@ namespace antidote {
 /// `CertServerConfig` / `NetServerConfig` / `DiskCertStoreOptions` /
 /// `ReplicatorConfig` at wiring time.
 struct ServingOptions {
-  // Parallelism (0 = all cores on each axis).
-  unsigned Jobs = 1;         ///< Batch/serve worker threads.
-  unsigned FrontierJobs = 1; ///< Executors inside one DTrace# frontier.
+  /// Executors of the process's one pool (0 = all cores): a batch or
+  /// server spreads its queries, a lone query spreads its frontier.
+  unsigned Jobs = 1;
 
   // Store composition.
   uint64_t CacheBytes = 0;     ///< RAM-tier byte budget; 0 = unbounded.

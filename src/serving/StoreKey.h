@@ -24,11 +24,10 @@
 ///    different ignored caps share entries), and the three run-stopping
 ///    `ResourceLimits` knobs.
 ///
-/// Scheduling knobs (FrontierJobs and the pools), the cancellation
-/// token, `MaxCacheBytes`, and the `Cache` pointer itself never enter a
-/// key: certificates are bit-identical across them, and splitting keys
-/// on them would stop a serial client from hitting entries a 64-thread
-/// sweep populated. Because both the RAM and the disk tier build keys
+/// The pool a query runs on, the cancellation token, and the `Cache`
+/// pointer itself never enter a key: certificates are bit-identical
+/// across them, and splitting keys on them would stop a serial client
+/// from hitting entries a 64-thread sweep populated. Because both the RAM and the disk tier build keys
 /// through the same `makeStoreKey`, an entry written by either tier is
 /// addressable by the other — and by any other process that loads the
 /// same dataset (the fingerprint is process-independent by

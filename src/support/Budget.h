@@ -45,8 +45,7 @@ const char *budgetOutcomeName(BudgetOutcome Outcome);
 
 /// The resource knobs of a budgeted run. This struct is the *only* place
 /// they are declared; `AbstractLearnerConfig`, `VerifierConfig`,
-/// `SweepConfig`, and `LabelFlipConfig` all embed it, and the serving
-/// layer's `CertCache` draws its retention budget from it.
+/// `SweepConfig`, and `LabelFlipConfig` all embed it.
 struct ResourceLimits {
   /// Per-run wall-clock budget in seconds (the paper uses 3600 s; §6.1).
   /// 0 disables.
@@ -58,13 +57,6 @@ struct ResourceLimits {
 
   /// Cap on live abstract-state bytes. 0 disables.
   uint64_t MaxStateBytes = 0;
-
-  /// Cap on bytes a certificate cache built from these limits may retain
-  /// (LRU eviction; see serving/CertCache.h). Unlike the three caps
-  /// above it never stops a run — it only bounds what is *remembered*
-  /// between runs — and it does not enter the cache's lookup key. 0
-  /// disables the cap (unbounded retention).
-  uint64_t MaxCacheBytes = 0;
 };
 
 /// A shared cooperative-cancellation flag. One controller cancels; any

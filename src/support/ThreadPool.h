@@ -30,12 +30,12 @@
 ///    refuted/over-budget frontier merge stops paying for disjuncts it
 ///    will never fold in.
 ///
-/// Several fan-outs may share one pool (a server's concurrent requests
-/// all fan their frontiers out onto one in-query pool): the destructor
-/// only waits for helper tasks that have *started*, never for ones still
-/// queued — a queued helper that runs after teardown began exits without
-/// touching the caller's stack. Without this, a finished fan-out would
-/// wait for helper tasks queued behind other fan-outs' work.
+/// Fan-outs share a pool: one query's DTrace# fans out onto the same
+/// pool once per depth level. The destructor only waits for helper tasks
+/// that have *started*, never for ones still queued — a finished depth's
+/// queued helper that runs during the next depth's fan-out exits without
+/// touching the caller's stack. Without this, every fan-out would end by
+/// waiting for its queued helpers to reach a worker just to exit.
 ///
 /// Tasks must not throw; the verifier reports failures through
 /// `Certificate`/`BudgetOutcome` values, never exceptions.

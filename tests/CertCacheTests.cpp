@@ -167,14 +167,11 @@ TEST(CertCacheTest, SchedulingKnobsShareEntries) {
   Serial.Cache = &Cache;
   Certificate Cold = V.verify(X, 2, Serial);
 
-  // Certificates are bit-identical across the fan-out knobs (the
-  // engine's core guarantee), so a parallel client must hit the entry a
-  // serial one stored.
-  VerifierConfig Parallel = Serial;
-  Parallel.FrontierJobs = 4;
+  // Certificates are bit-identical across pool sizes (the engine's core
+  // guarantee), so a parallel client must hit the entry a serial one
+  // stored.
   std::unique_ptr<ThreadPool> Pool = makeVerificationPool(4);
-  Parallel.FrontierPool = Pool.get();
-  Certificate Warm = V.verify(X, 2, Parallel);
+  Certificate Warm = V.verify(X, 2, Serial, Pool.get());
 
   EXPECT_EQ(Cache.stats().Hits, 1u);
   expectIdenticalCertificates(Cold, Warm);

@@ -34,13 +34,14 @@ AbstractDomainKind kAllDomains[] = {AbstractDomainKind::Box,
 
 /// A learner config with no wall clock (timing must not influence the
 /// serial-vs-parallel comparison; the caps are still live and exercised).
+/// A null \p Pool runs serially.
 AbstractLearnerConfig learnerConfig(AbstractDomainKind Domain,
-                                    unsigned FrontierJobs) {
+                                    ThreadPool *Pool = nullptr) {
   AbstractLearnerConfig Config;
   Config.Depth = 3;
   Config.Domain = Domain;
   Config.DisjunctCap = 8; // Small enough that capped runs overflow-join.
-  Config.FrontierJobs = FrontierJobs;
+  Config.FrontierPool = Pool;
   Config.Limits.TimeoutSeconds = 0.0;
   return Config;
 }
@@ -184,12 +185,13 @@ TEST(FrontierParallelTest, LearnerRunsIdenticalAcrossFrontierJobs) {
     for (uint32_t N : {2u, 6u}) {
       AbstractDataset Initial = AbstractDataset::entire(Data, N);
       AbstractLearnerResult Serial =
-          runAbstractDTrace(Ctx, Initial, &X, learnerConfig(Domain, 1));
+          runAbstractDTrace(Ctx, Initial, &X, learnerConfig(Domain));
       for (unsigned Jobs : {2u, 8u}) {
+        ThreadPool Pool(Jobs - 1);
         AbstractLearnerResult Parallel =
-            runAbstractDTrace(Ctx, Initial, &X, learnerConfig(Domain, Jobs));
+            runAbstractDTrace(Ctx, Initial, &X, learnerConfig(Domain, &Pool));
         std::string Label = std::string(domainKindName(Domain)) + ", n=" +
-                            std::to_string(N) + ", FrontierJobs=" +
+                            std::to_string(N) + ", executors=" +
                             std::to_string(Jobs);
         expectIdenticalRuns(Serial, Parallel, Label.c_str());
       }
@@ -203,10 +205,11 @@ TEST(FrontierParallelTest, CompleteTerminalSetsIdenticalWithoutRefutationShortcu
   Dataset Data = figure2Dataset();
   SplitContext Ctx(Data);
   float X = 11.5f;
+  ThreadPool Pool(7);
   for (AbstractDomainKind Domain : kAllDomains) {
-    AbstractLearnerConfig SerialConfig = learnerConfig(Domain, 1);
+    AbstractLearnerConfig SerialConfig = learnerConfig(Domain);
     SerialConfig.StopOnRefutation = false;
-    AbstractLearnerConfig ParallelConfig = learnerConfig(Domain, 8);
+    AbstractLearnerConfig ParallelConfig = learnerConfig(Domain, &Pool);
     ParallelConfig.StopOnRefutation = false;
     AbstractDataset Initial = AbstractDataset::entire(Data, 4);
     expectIdenticalRuns(
@@ -223,13 +226,14 @@ TEST(FrontierParallelTest, ResourceLimitAbortsIdenticalAcrossFrontierJobs) {
   Dataset Data = figure2Dataset();
   SplitContext Ctx(Data);
   float X = 5.0f;
+  ThreadPool Pool(7);
   for (AbstractDomainKind Domain :
        {AbstractDomainKind::Disjuncts, AbstractDomainKind::DisjunctsCapped}) {
-    AbstractLearnerConfig SerialConfig = learnerConfig(Domain, 1);
+    AbstractLearnerConfig SerialConfig = learnerConfig(Domain);
     SerialConfig.StopOnRefutation = false;
     SerialConfig.Limits.MaxDisjuncts = 8;
     AbstractLearnerConfig ParallelConfig = SerialConfig;
-    ParallelConfig.FrontierJobs = 8;
+    ParallelConfig.FrontierPool = &Pool;
     AbstractDataset Initial = AbstractDataset::entire(Data, 6);
     AbstractLearnerResult Serial =
         runAbstractDTrace(Ctx, Initial, &X, SerialConfig);
@@ -258,11 +262,10 @@ TEST(FrontierParallelTest, VerifierCertificatesIdenticalAcrossFrontierJobs) {
       const float *X = Bench.Split.Test.row(Row);
       Certificate Lone = V.verify(X, /*PoisoningBudget=*/4, Serial);
       for (unsigned Jobs : {2u, 8u}) {
-        VerifierConfig Parallel = Serial;
-        Parallel.FrontierJobs = Jobs;
-        Certificate Cert = V.verify(X, /*PoisoningBudget=*/4, Parallel);
+        ThreadPool Pool(Jobs - 1);
+        Certificate Cert = V.verify(X, /*PoisoningBudget=*/4, Serial, &Pool);
         std::string Label = std::string(domainKindName(Domain)) + ", row " +
-                            std::to_string(Row) + ", FrontierJobs=" +
+                            std::to_string(Row) + ", executors=" +
                             std::to_string(Jobs);
         EXPECT_EQ(Cert.Kind, Lone.Kind) << Label;
         EXPECT_EQ(Cert.ConcretePrediction, Lone.ConcretePrediction) << Label;
@@ -276,33 +279,35 @@ TEST(FrontierParallelTest, VerifierCertificatesIdenticalAcrossFrontierJobs) {
   }
 }
 
-TEST(FrontierParallelTest, SharedFrontierPoolMatchesOwnedPool) {
-  // A sweep passes one long-lived pool through VerifierConfig::FrontierPool
-  // instead of letting every query spawn its own; results must not care.
+TEST(FrontierParallelTest, OnePoolReusedAcrossSuccessiveVerifyCalls) {
+  // A front end builds its one pool once and hands it to every verify
+  // call of the process; a pool that already served earlier queries
+  // (and may still hold their finished fan-outs' queued helpers) must
+  // leave each later certificate equal to the serial one.
   BenchmarkDataset Bench = loadBenchmarkDataset("iris", BenchScale::Scaled);
   Verifier V(Bench.Split.Train);
   VerifierConfig Config;
   Config.Depth = 2;
   Config.Domain = AbstractDomainKind::Disjuncts;
   Config.Limits.TimeoutSeconds = 0.0;
-  const float *X = Bench.Split.Test.row(0);
-  Certificate Serial = V.verify(X, 4, Config);
-
   ThreadPool Shared(3);
-  Config.FrontierJobs = 4;
-  Config.FrontierPool = &Shared;
-  Certificate Pooled = V.verify(X, 4, Config);
-  EXPECT_EQ(Pooled.Kind, Serial.Kind);
-  EXPECT_EQ(Pooled.NumTerminals, Serial.NumTerminals);
-  EXPECT_EQ(Pooled.PeakDisjuncts, Serial.PeakDisjuncts);
-  EXPECT_EQ(Pooled.PeakStateBytes, Serial.PeakStateBytes);
-  EXPECT_EQ(Pooled.BestSplitCalls, Serial.BestSplitCalls);
+  for (uint32_t Row = 0; Row < 4; ++Row) {
+    const float *X = Bench.Split.Test.row(Row);
+    Certificate Serial = V.verify(X, 4, Config);
+    Certificate Pooled = V.verify(X, 4, Config, &Shared);
+    std::string Label = "row " + std::to_string(Row);
+    EXPECT_EQ(Pooled.Kind, Serial.Kind) << Label;
+    EXPECT_EQ(Pooled.NumTerminals, Serial.NumTerminals) << Label;
+    EXPECT_EQ(Pooled.PeakDisjuncts, Serial.PeakDisjuncts) << Label;
+    EXPECT_EQ(Pooled.PeakStateBytes, Serial.PeakStateBytes) << Label;
+    EXPECT_EQ(Pooled.BestSplitCalls, Serial.BestSplitCalls) << Label;
+  }
 }
 
 TEST(FrontierParallelTest, SweepAggregatesIdenticalWithFrontierJobs) {
-  // The §6.1 protocol with frontier-level parallelism only (Jobs = 1) and
-  // with both fan-out levels on at once must reproduce the serial sweep
-  // bit-for-bit, exactly like ParallelSweepTests does for Jobs alone.
+  // The §6.1 protocol spreads each probe's instances over its one pool
+  // and runs every instance's frontier serially; every pool size,
+  // including all cores, must reproduce the serial sweep bit-for-bit.
   BenchmarkDataset Bench = loadBenchmarkDataset("iris", BenchScale::Scaled);
   SweepConfig Serial;
   Serial.Depths = {1, 2};
@@ -314,11 +319,9 @@ TEST(FrontierParallelTest, SweepAggregatesIdenticalWithFrontierJobs) {
                                            Bench.Split.Test, Bench.VerifyRows,
                                            Serial);
 
-  const std::pair<unsigned, unsigned> Combos[] = {{1, 4}, {2, 2}};
-  for (auto [Jobs, FrontierJobs] : Combos) {
+  for (unsigned Jobs : {1u, 2u, 0u}) {
     SweepConfig Parallel = Serial;
     Parallel.Jobs = Jobs;
-    Parallel.FrontierJobs = FrontierJobs;
     SweepResult Result = runPoisoningSweep(
         Bench.Split.Train, Bench.Split.Test, Bench.VerifyRows, Parallel);
     ASSERT_EQ(Result.Series.size(), Baseline.Series.size());
@@ -353,7 +356,8 @@ TEST(FrontierParallelTest, MidFrontierCancellationReportsDeadlineReason) {
   Config.Depth = 5;
   Config.Domain = AbstractDomainKind::Disjuncts;
   Config.StopOnRefutation = false;
-  Config.FrontierJobs = 4;
+  ThreadPool Pool(3);
+  Config.FrontierPool = &Pool;
   Config.Limits.MaxDisjuncts = 0;  // Uncapped:
   Config.Limits.MaxStateBytes = 0; // only the token can stop this run.
   CancellationToken Token;
@@ -382,7 +386,9 @@ TEST(FrontierParallelTest, PreCancelledTokenStopsParallelFrontierRun) {
   CancellationToken Token;
   Token.cancel();
 
-  AbstractLearnerConfig Config = learnerConfig(AbstractDomainKind::Disjuncts, 8);
+  ThreadPool Pool(7);
+  AbstractLearnerConfig Config =
+      learnerConfig(AbstractDomainKind::Disjuncts, &Pool);
   Config.Depth = 4;
   Config.Cancel = &Token;
   AbstractDataset Initial = AbstractDataset::entire(Data, 6);

@@ -10,7 +10,7 @@
 //    hardcoded values captured from the pre-refactor scalar implementation
 //    (checked bit-identical against a build of the scalar seed across the
 //    full domain x budget x depth grid), and assert the pinned values hold
-//    for every Jobs and FrontierJobs value. A vectorization
+//    for every pool size, in batch and one-query mode. A vectorization
 //    or layout change that perturbs any observable — verdict, prediction,
 //    dominating class, terminal count, peak disjuncts, bestSplit calls —
 //    fails here, pointing straight at the kernel that drifted.
@@ -241,23 +241,25 @@ std::string goldenLabel(const GoldenCert &G, const char *Knobs) {
 TEST(SoAGoldenTest, CertificatesMatchScalarSeedAcrossKnobGrid) {
   Dataset Data = figure2Dataset();
   Verifier V(Data);
-  const unsigned KnobGrid[] = {1, 2, 0};
-  for (const GoldenCert &G : kGoldenCerts) {
-    for (unsigned FrontierJobs : KnobGrid) {
+  for (unsigned Jobs : {1u, 2u, 0u}) {
+    // One query's frontier spreads over the pool (null when Jobs is 1).
+    std::unique_ptr<ThreadPool> Pool = makeVerificationPool(Jobs);
+    std::string Knobs = "pool jobs=" + std::to_string(Jobs);
+    for (const GoldenCert &G : kGoldenCerts) {
       VerifierConfig Config;
       Config.Depth = G.Depth;
       Config.Domain = kGoldenDomains[G.Domain];
       Config.DisjunctCap = 4;
-      Config.FrontierJobs = FrontierJobs;
-      std::string Knobs = "fj=" + std::to_string(FrontierJobs);
-      expectGolden(G, V.verify(&kGoldenQueries[G.Query], G.Budget, Config),
+      expectGolden(G,
+                   V.verify(&kGoldenQueries[G.Query], G.Budget, Config,
+                            Pool.get()),
                    goldenLabel(G, Knobs.c_str()).c_str());
     }
   }
 }
 
 TEST(SoAGoldenTest, BatchCertificatesMatchGoldenAcrossJobs) {
-  // The batch-level Jobs axis: one pool fans independent queries out; each
+  // Batch mode: one pool fans independent queries out; each
   // certificate must still equal its pinned golden row for every pool size
   // (including the serial null pool).
   Dataset Data = figure2Dataset();
