@@ -461,7 +461,7 @@ int main(int Argc, char **Argv) {
     Net.stop();
     NetServerStats Stats = Net.stats();
     std::printf("net: accepted=%llu refused=%llu framing=%llu "
-                "requests=%llu verified=%llu probe_hits=%llu "
+                "requests=%llu verified=%llu stored=%llu "
                 "shed_overload=%llu shed_paced=%llu bad_requests=%llu "
                 "cancelled=%llu repl_polls=%llu\n",
                 static_cast<unsigned long long>(Stats.Accepted),
@@ -469,7 +469,7 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Stats.FramingErrors),
                 static_cast<unsigned long long>(Stats.Requests),
                 static_cast<unsigned long long>(Stats.Verified),
-                static_cast<unsigned long long>(Stats.ProbeHits),
+                static_cast<unsigned long long>(Stats.Stored),
                 static_cast<unsigned long long>(Stats.ShedOverload),
                 static_cast<unsigned long long>(Stats.ShedPaced),
                 static_cast<unsigned long long>(Stats.BadArity),

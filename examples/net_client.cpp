@@ -136,8 +136,8 @@ bool sendAll(int Fd, const std::string &Bytes) {
 const char *statusName(const NetResponse &Response) {
   switch (Response.Status) {
   case NetStatus::Ok:
-    return Response.Path == NetServePath::ShedProbe ? "ok/probe"
-                                                    : "ok/verified";
+    return Response.Path == NetServePath::Stored ? "ok/stored"
+                                                 : "ok/verified";
   case NetStatus::Shed:
     return Response.ShedReason == NetShedReason::Paced ? "shed/paced"
                                                        : "shed/overload";

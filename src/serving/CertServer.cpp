@@ -17,8 +17,9 @@ CertServer::CertServer(const Dataset &Train, const CertServerConfig &Config)
   // The server owns the long-lived halves of the query config; whatever
   // the caller put there is replaced (`Cancel` per request, in `serve`).
   // The store is taken as configured — abstract, already composed by the
-  // wiring layer.
-  this->Config.Query.Cache = Config.Store;
+  // wiring layer — and consulted by the server itself (`lookupStore`,
+  // then the write-through in `serve`), never from inside `verify`.
+  this->Config.Query.Cache = nullptr;
   unsigned Jobs = resolveJobs(Config.Jobs);
   Workers.reserve(Jobs);
   for (unsigned I = 0; I < Jobs; ++I)
@@ -118,13 +119,12 @@ bool CertServer::cancelRequest(uint64_t Ticket) {
   return true;
 }
 
-bool CertServer::probeStore(const float *X, uint32_t PoisoningBudget,
-                            Certificate &Out) const {
+bool CertServer::lookupStore(const float *X, uint32_t PoisoningBudget,
+                             Certificate &Out) const {
   CertificateStore *Store = Config.Store;
-  if (!Store)
-    return false;
-  return Store->probe(V.fingerprint(), X, V.trainingSet().numFeatures(),
-                      PoisoningBudget, Config.Query, Out);
+  return Store && Store->lookup(V.fingerprint(), X,
+                                V.trainingSet().numFeatures(),
+                                PoisoningBudget, Config.Query, Out);
 }
 
 void CertServer::workerLoop() {
@@ -146,14 +146,16 @@ void CertServer::workerLoop() {
 
 void CertServer::serve(Request &R) {
   // Expired while queued: answer Timeout without consuming a
-  // verification (sound: Timeout claims nothing). Otherwise verify under
-  // the request's own token and deadline-clamped limits, so one client's
-  // cancellation or deadline never stops a neighbour's identical query.
+  // verification (sound: Timeout claims nothing). Otherwise ask the store
+  // — a neighbour may have stored this answer while the request queued —
+  // and on a miss verify under the request's own token and
+  // deadline-clamped limits, so one client's cancellation or deadline
+  // never stops a neighbour's identical query.
   auto Now = std::chrono::steady_clock::now();
   Certificate Cert;
   if (R.HasDeadline && R.Deadline <= Now) {
     Cert = unserved(VerdictKind::Timeout, R.PoisoningBudget);
-  } else {
+  } else if (!lookupStore(R.X.data(), R.PoisoningBudget, Cert)) {
     VerifierConfig C = Config.Query;
     C.Cancel = R.Cancel.get();
     if (R.HasDeadline) {
@@ -165,6 +167,15 @@ void CertServer::serve(Request &R) {
               : Remaining;
     }
     Cert = V.verify(R.X.data(), R.PoisoningBudget, C);
+    // Stored under the server's own config, like every lookup: the
+    // clamped timeout is this request's budget, not a property of the
+    // answer. A deadline can only cut a run short, and a cut-short run
+    // reports Timeout, which is never stored — so any verdict stored
+    // here is the one the unclamped run reaches.
+    if (Config.Store && isDeterministicVerdict(Cert.Kind))
+      Config.Store->store(V.fingerprint(), R.X.data(),
+                          V.trainingSet().numFeatures(), R.PoisoningBudget,
+                          Config.Query, Cert);
   }
   {
     std::lock_guard<std::mutex> Guard(Mutex);

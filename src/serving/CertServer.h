@@ -18,20 +18,25 @@
 ///
 /// Request path:
 ///
-///   submit(x, n) ──▶ queue ──▶ Jobs workers ──▶ Verifier::verify
-///        │                  (each pops one      (store consulted and
-///        │                   request at a time)  fed inside verify)
-///        ▼                                              │
-///   std::future ◀── promise + completion callback ◀─────┘
+///   submit(x, n) ──▶ queue ──▶ Jobs workers ──▶ lookupStore ──hit──┐
+///        │                  (each pops one         │miss            │
+///        │                   request at a time)    ▼                │
+///        │                               Verifier::verify, then     │
+///        │                               store write-through        │
+///        ▼                                         │                │
+///   std::future ◀── promise + completion callback ◀┴────────────────┘
 ///
 /// Queries are independent — each is its own abstract training run over
 /// ∆n(T) — so a worker takes the next queued request the moment it is
-/// free, and nothing waits behind a neighbour's verification. Caching
-/// happens *inside* `Verifier::verify` (the store is wired into the
-/// server's `VerifierConfig`), so a repeated query costs one store probe
-/// on a worker instead of a verification, and the served certificate is
+/// free, and nothing waits behind a neighbour's verification. The server
+/// consults its store itself, under its own `VerifierConfig`: a worker
+/// asks `lookupStore` first and writes a fresh deterministic verdict
+/// through afterwards, so a repeated query costs one store lookup
+/// instead of a verification, and the served certificate is
 /// byte-identical to the fresh one that seeded the entry (see
-/// serving/CertCache.h for the invariants).
+/// serving/CertCache.h for the invariants). The network tier calls the
+/// same `lookupStore` on its event loop, so most hits never reach the
+/// queue at all (serving/NetServer.h).
 ///
 /// Shutdown: `stop()` (and the destructor) waits for the queue to drain —
 /// every accepted future is always fulfilled. Submissions after `stop`
@@ -59,8 +64,9 @@ namespace antidote {
 /// Server-wide parameters.
 struct CertServerConfig {
   /// Per-query verification parameters, shared by every request: depth,
-  /// domain, threat model, and per-query `Limits`. `Cache` and `Cancel`
-  /// are overwritten by the server with its store and each request's own
+  /// domain, threat model, and per-query `Limits`. Every store lookup
+  /// and write uses exactly this config. The server clears `Cache` (it
+  /// consults `Store` itself) and sets `Cancel` to each request's own
   /// cancellation token.
   VerifierConfig Query;
 
@@ -79,7 +85,7 @@ struct CertServerConfig {
 
 /// A long-lived certificate server for one training set.
 ///
-/// Thread-safety: `submit`, `probeStore`, and `pendingRequests` may be
+/// Thread-safety: `submit`, `lookupStore`, and `pendingRequests` may be
 /// called from any number of client threads. The returned future is
 /// fulfilled by the worker that served the request; `get()` blocks until
 /// then.
@@ -102,7 +108,10 @@ public:
     /// only starts once verification begins. A request still queued
     /// when its deadline passes is answered `Timeout` without
     /// verifying; one a worker takes in time verifies under
-    /// min(server timeout, remaining deadline). <= 0 = no deadline.
+    /// min(server timeout, remaining deadline). Like the cancellation
+    /// token, the deadline stays outside the store key: the request
+    /// looks up and stores under the server's own config. <= 0 = no
+    /// deadline.
     double DeadlineSeconds = 0.0;
 
     /// Called from the serving worker immediately after the future is
@@ -146,16 +155,16 @@ public:
   /// abandons the *work*, never the bookkeeping.
   bool cancelRequest(uint64_t Ticket);
 
-  /// Store-only probe: consults the server's certificate store (range
-  /// rule included, residency undisturbed — `CertificateStore::probe`)
-  /// exactly as the verify path would, but never verifies and never
-  /// touches the queue. This is the shed path's lifeline — under
-  /// overload the network tier answers what is already known (a hash
-  /// probe / disk read) while refusing to take on new verification
-  /// work. Safe from any thread; false when there is no store or no
-  /// serving entry.
-  bool probeStore(const float *X, uint32_t PoisoningBudget,
-                  Certificate &Out) const;
+  /// The server's one store lookup: `CertificateStore::lookup` under
+  /// the server's own `Query` config — the same key, range rule, LRU
+  /// touch and disk→RAM promotion a worker's lookup makes, so an answer
+  /// from here is byte-identical to the worker-path answer. Never
+  /// verifies, never touches the queue. The network tier calls it on
+  /// its event loop before admission control, so a stored answer costs
+  /// one lookup, not a trip through the queue. Safe from any thread;
+  /// false when there is no store or no serving entry.
+  bool lookupStore(const float *X, uint32_t PoisoningBudget,
+                   Certificate &Out) const;
 
   /// The warm verifier (for its fingerprint, dataset, and direct
   /// cache-bypassing queries in tests).
@@ -213,10 +222,11 @@ private:
   void workerLoop();
 
   /// Turns one dequeued request into its certificate: an expired
-  /// deadline answers `Timeout`, anything else verifies under the
-  /// request's own token and deadline-clamped limits. Drops the
-  /// `LiveTokens` entry (after which `cancelRequest` returns false),
-  /// then fulfills.
+  /// deadline answers `Timeout`, a store hit answers from the store, and
+  /// a miss verifies under the request's own token and deadline-clamped
+  /// limits, then writes a deterministic verdict through under the
+  /// server's config. Drops the `LiveTokens` entry (after which
+  /// `cancelRequest` returns false), then fulfills.
   void serve(Request &R);
 
   CertServerConfig Config;

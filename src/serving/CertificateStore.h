@@ -16,9 +16,9 @@
 ///
 /// Alongside the lookup/store contract (below) the interface carries:
 ///
-///  - `probe`: answer only from already-stored certificates, never
-///    verify — the admission-control shed path's question ("can I serve
-///    this for free?").
+///  - `probe`: a `lookup` that may skip optional side effects. No
+///    serving path calls it; it stays because the perfbench timing
+///    decorator overrides it.
 ///  - `stats()`: one shared `StoreStats` counter struct; every
 ///    front-end stats line is rendered by `StoreStats::summary()`, so a
 ///    new counter surfaces in every CLI and CI grep at once.
@@ -170,13 +170,13 @@ public:
 ///    The pool a query runs on, the cancellation token, and the `Cache`
 ///    pointer itself are certificate-irrelevant — certificates are
 ///    bit-identical across them — and must not distinguish keys.
-///  - The verifier only offers deterministic verdicts for storage
-///    (Robust / Unknown / ResourceLimit); wall-clock- or
-///    controller-dependent ones (Timeout / Cancelled) are never cached,
-///    so a hit can never replay a verdict a fresh run might not
-///    reproduce.
+///  - Writers (`Verifier::verify` and `CertServer`) only offer
+///    deterministic verdicts for storage (Robust / Unknown /
+///    ResourceLimit); wall-clock- or controller-dependent ones
+///    (Timeout / Cancelled) are never cached, so a hit can never replay
+///    a verdict a fresh run might not reproduce.
 ///  - Both calls may run concurrently from batch-pool or `CertServer`
-///    workers.
+///    workers, and `lookup` from the `NetServer` event loop too.
 class CertificateStore {
 public:
   virtual ~CertificateStore() = default;
@@ -195,10 +195,10 @@ public:
                      const Certificate &Cert) = 0;
 
   /// Answers only from already-stored certificates — semantically a
-  /// `lookup` that must never trigger verification (no store can) and
-  /// need not pay side effects a tier considers optional (promotion,
-  /// recency). The default forwards to `lookup`; the admission-control
-  /// shed path calls this.
+  /// `lookup` that need not pay side effects a tier considers optional
+  /// (promotion, recency). The default forwards to `lookup`. No serving
+  /// path calls it (the network tier answers hits with `lookup`); it
+  /// stays because perfbench/src/TimingStore.h overrides it.
   virtual bool probe(const DatasetFingerprint &Data, const float *X,
                      unsigned NumFeatures, uint32_t PoisoningBudget,
                      const VerifierConfig &Config, Certificate &Out) {

@@ -222,7 +222,7 @@ antidote::decodeResponsePayload(const uint8_t *Data, size_t Size) {
   switch (Response.Status) {
   case NetStatus::Ok: {
     uint8_t Path = R.u8();
-    if (!R.ok() || Path > static_cast<uint8_t>(NetServePath::ShedProbe) ||
+    if (!R.ok() || Path > static_cast<uint8_t>(NetServePath::Stored) ||
         !readCertificate(R, Response.Cert))
       return std::nullopt;
     Response.Path = static_cast<NetServePath>(Path);

@@ -27,10 +27,12 @@
 ///                       mixed deadlines)
 ///   u32 poisoningBudget n of the ∆n(T) query
 ///   u32 deadlineMillis  client deadline from *server receipt*, queue
-///                       wait included; 0 = none. Propagated into
-///                       `ResourceLimits::TimeoutSeconds`, and a request
-///                       that expires before a worker takes it answers
-///                       `timeout` without verifying.
+///                       wait included; 0 = none. A verification runs
+///                       under min(server timeout, remaining deadline),
+///                       and a request that expires before a worker
+///                       takes it answers `timeout` without verifying.
+///                       The deadline never enters the store key, so a
+///                       deadline request hits what others stored.
 ///   u32 numFeatures     must equal the training set's arity
 ///   f32 × numFeatures   query point (bit patterns, BitHash policy)
 ///
@@ -38,9 +40,10 @@
 ///
 ///   u64 tag
 ///   u8  status          0 Ok, 1 Shed, 2 Error
-///   Ok:    u8 path (0 = verification path — fresh, cache or range
-///          served; 1 = admission-control store probe answered while
-///          shedding), then the certificate encoding below
+///   Ok:    u8 path (0 = through a CertServer worker — a fresh
+///          verification, or a store hit a worker found; 1 = reserved,
+///          never sent; 2 = a store hit answered on the event loop,
+///          exact or range), then the certificate encoding below
 ///   Shed:  u8 reason (0 = queue overload, 1 = per-client pacing).
 ///          Never carries a verdict — a shed is an explicit refusal,
 ///          not a fabricated answer.
@@ -135,12 +138,18 @@ enum class NetErrorReason : uint8_t {
   BadBudget = 1, ///< poisoningBudget exceeds the training-set size.
 };
 
-/// How an Ok response was produced (for tests and ops counters; both
-/// paths are equally sound).
+/// How an Ok response was produced (for tests and ops counters; every
+/// path is equally sound).
 enum class NetServePath : uint8_t {
-  Verified = 0,  ///< Through Verifier::verify (fresh / cache / range —
-                 ///< the normal admission path).
-  ShedProbe = 1, ///< Store-only probe answered while shedding.
+  Verified = 0,  ///< Through a CertServer worker: a fresh verification,
+                 ///< or a hit the worker found (a neighbour stored the
+                 ///< answer while this request queued).
+  ShedProbe = 1, ///< Reserved, never sent: a request reaches the shed
+                 ///< gates only after missing the store, so there is
+                 ///< nothing to probe. Kept decodable, and kept because
+                 ///< perfbench/src/Report.cpp names it.
+  Stored = 2,    ///< A store hit (exact or range rule) answered on the
+                 ///< event loop, before pacing, shedding or the queue.
 };
 
 /// One parsed request frame.

@@ -55,7 +55,7 @@ NetServerStats NetServer::stats() const {
   S.FramingErrors = NumFraming.load(std::memory_order_relaxed);
   S.Requests = NumRequests.load(std::memory_order_relaxed);
   S.Verified = NumVerified.load(std::memory_order_relaxed);
-  S.ProbeHits = NumProbeHits.load(std::memory_order_relaxed);
+  S.Stored = NumStored.load(std::memory_order_relaxed);
   S.ShedOverload = NumShedOverload.load(std::memory_order_relaxed);
   S.ShedPaced = NumShedPaced.load(std::memory_order_relaxed);
   S.BadArity = NumBadArity.load(std::memory_order_relaxed);
@@ -222,6 +222,18 @@ void NetServer::handleRequest(uint64_t ConnId, Conn &C,
     return;
   }
 
+  // A stored answer costs one lookup here, on the loop: no token, no
+  // queue, no worker, no wake-up. The gates below ration verification,
+  // and a hit needs none.
+  if (Server.lookupStore(Request.X.data(), Request.PoisoningBudget,
+                         Response.Cert)) {
+    Response.Status = NetStatus::Ok;
+    Response.Path = NetServePath::Stored;
+    NumStored.fetch_add(1, std::memory_order_relaxed);
+    sendResponse(C, Response);
+    return;
+  }
+
   // Gate 2: per-client pacing. Refill first so a client that waited
   // earns its tokens back; admission below spends one.
   bool Paced = false;
@@ -240,23 +252,13 @@ void NetServer::handleRequest(uint64_t ConnId, Conn &C,
       Config.ShedDepth && Server.pendingRequests() >= Config.ShedDepth;
 
   if (Paced || Overloaded) {
-    // Shed *before* verification — but what the store already knows is
-    // a hash probe away and stays on the menu. A probe miss is an
-    // explicit refusal, never a fabricated verdict.
-    Certificate Known;
-    if (Server.probeStore(Request.X.data(), Request.PoisoningBudget,
-                          Known)) {
-      Response.Status = NetStatus::Ok;
-      Response.Path = NetServePath::ShedProbe;
-      Response.Cert = Known;
-      NumProbeHits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      Response.Status = NetStatus::Shed;
-      Response.ShedReason =
-          Overloaded ? NetShedReason::Overload : NetShedReason::Paced;
-      (Overloaded ? NumShedOverload : NumShedPaced)
-          .fetch_add(1, std::memory_order_relaxed);
-    }
+    // Shed *before* verification: the store has just missed, so this is
+    // an explicit refusal, never a fabricated verdict.
+    Response.Status = NetStatus::Shed;
+    Response.ShedReason =
+        Overloaded ? NetShedReason::Overload : NetShedReason::Paced;
+    (Overloaded ? NumShedOverload : NumShedPaced)
+        .fetch_add(1, std::memory_order_relaxed);
     sendResponse(C, Response);
     return;
   }

@@ -10,20 +10,35 @@
 /// thread multiplexing many concurrent TCP clients in front of a
 /// `CertServer`, speaking the length-prefixed protocol of
 /// serving/NetProtocol.h. The loop never verifies anything itself — it
-/// frames, admits, submits, and writes back; all verification runs on
-/// the CertServer's workers.
+/// frames, answers what the store already holds, admits, submits, and
+/// writes back; all verification runs on the CertServer's workers.
 ///
-///   clients ──▶ epoll loop ──▶ admission control ──▶ CertServer::submit
-///                  ▲                  │                  (ticketed)
-///                  │                  ├─ paced/overloaded ─▶ store
-///                  │                  │   probe; hit ⇒ Ok/ShedProbe,
-///                  │                  │   miss ⇒ explicit Shed
-///                  │                  ▼
+///   clients ──▶ epoll loop ──▶ lookupStore ──hit──▶ Ok/Stored, written
+///                  ▲               │miss              back at once
+///                  │               ▼
+///                  │        admission control ──▶ CertServer::submit
+///                  │               │                  (ticketed)
+///                  │               └─ paced/overloaded ─▶ explicit Shed
+///                  │
 ///               WakeFd ◀── completion callback (CertServer worker)
+///
+/// ## Store hits on the loop
+///
+/// Every well-framed, answerable request first asks the store
+/// (`CertServer::lookupStore`: RAM and disk tiers, range rule included,
+/// under the server's own config — the very lookup a worker makes). A
+/// hit is answered `Ok/Stored` from the loop thread: no token, no queue,
+/// no worker, no promise, no eventfd. Only misses go on to the gates
+/// below. A lookup is a hash probe, or a `pread` from the page cache on
+/// a disk-tier hit; that is the only store work the loop does. The
+/// worker that takes a miss looks it up once more before verifying (an
+/// identical request may have been stored meanwhile), so a store's
+/// `misses=` counter counts each network miss twice.
 ///
 /// ## Admission control
 ///
-/// Three gates, in order, per well-framed request:
+/// Three gates, in order, per well-framed request (the store lookup
+/// sits between gates 1 and 2):
 ///
 ///  1. *Arity*: a feature count not matching the training set answers
 ///     `Error/BadArity` (the frame was honest; only the query is wrong).
@@ -33,14 +48,12 @@
 ///  3. *Load*: when `CertServer::pendingRequests()` has reached
 ///     `ShedDepth`, the verification queue is saturated. 0 = never shed.
 ///
-/// A request failing gate 2 or 3 is *not* dropped silently and *never*
-/// receives a fabricated verdict: the server first probes the
-/// certificate store (`CertServer::probeStore` — RAM and disk tiers,
-/// range rule included, no verification, no queue), and answers
-/// `Ok/ShedProbe` on a hit; otherwise the client gets an explicit
-/// `Shed` frame naming the reason. Under overload the server thus keeps
-/// answering everything it already knows while refusing new work —
-/// shedding costs a hash probe, not a verification.
+/// A request failing gate 2 or 3 has just missed the store, so it is
+/// *not* dropped silently and *never* receives a fabricated verdict: the
+/// client gets an explicit `Shed` frame naming the reason. Under
+/// overload the server thus keeps answering everything it already knows
+/// while refusing new work, and pacing rations verifications only — a
+/// hit spends no token.
 ///
 /// Admitted requests consume one token and are submitted ticketed, with
 /// the client's `deadlineMillis` propagated (queue wait counts; an
@@ -91,15 +104,15 @@ struct NetServerConfig {
   size_t MaxClients = 64;
 
   /// Queue depth (`CertServer::pendingRequests`) at which new
-  /// verification work is shed. 0 = never shed.
+  /// verification work (store misses) is shed. 0 = never shed.
   size_t ShedDepth = 0;
 
   /// Per-connection token-bucket refill rate, tokens (= admitted
-  /// verifications) per second. 0 = unpaced.
+  /// verifications) per second. Store hits spend none. 0 = unpaced.
   double ClientRate = 0.0;
 
-  /// Token-bucket capacity: how many requests a client may burst before
-  /// pacing bites. Also the bucket's starting balance.
+  /// Token-bucket capacity: how many verifications a client may burst
+  /// before pacing bites. Also the bucket's starting balance.
   double ClientBurst = 8.0;
 };
 
@@ -110,8 +123,8 @@ struct NetServerStats {
   uint64_t RefusedClients = 0; ///< Accepts closed over MaxClients.
   uint64_t FramingErrors = 0;  ///< Connections closed for bad framing.
   uint64_t Requests = 0;       ///< Well-framed requests decoded.
-  uint64_t Verified = 0;       ///< Ok responses via the verify path.
-  uint64_t ProbeHits = 0;      ///< Ok responses via the shed-path probe.
+  uint64_t Verified = 0;       ///< Ok responses via a CertServer worker.
+  uint64_t Stored = 0;         ///< Ok responses from the store, on the loop.
   uint64_t ShedOverload = 0;   ///< Shed frames: queue past ShedDepth.
   uint64_t ShedPaced = 0;      ///< Shed frames: client bucket empty.
   uint64_t BadArity = 0;       ///< Error frames: feature-count mismatch.
@@ -215,7 +228,7 @@ private:
 
   /// Counters (relaxed atomics: written by the loop, read by anyone).
   std::atomic<uint64_t> NumAccepted{0}, NumRefused{0}, NumFraming{0},
-      NumRequests{0}, NumVerified{0}, NumProbeHits{0}, NumShedOverload{0},
+      NumRequests{0}, NumVerified{0}, NumStored{0}, NumShedOverload{0},
       NumShedPaced{0}, NumBadArity{0}, NumCancelled{0}, NumReplicationPolls{0};
 
   static constexpr uint64_t ListenCookie = 0;

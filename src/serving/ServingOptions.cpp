@@ -94,12 +94,13 @@ const OptRow Rows[] = {
        O.ShedDepth = U;
      }},
     {"--client-rate", "ANTIDOTE_CLIENT_RATE", OptKind::Double, 0, 0.0,
-     nullptr, "R", "0", "per-client admitted requests/second (0 = unpaced)",
+     nullptr, "R", "0",
+     "per-client admitted verifications/second (0 = unpaced)",
      [](ServingOptions &O, uint64_t, double D, const char *) {
        O.ClientRate = D;
      }},
     {"--client-burst", "ANTIDOTE_CLIENT_BURST", OptKind::Double, 0, 1.0,
-     nullptr, "B", "8", "token-bucket capacity one client may burst",
+     nullptr, "B", "8", "verifications one client may burst",
      [](ServingOptions &O, uint64_t, double D, const char *) {
        O.ClientBurst = D;
      }},

@@ -39,15 +39,3 @@ void TieredStore::store(const DatasetFingerprint &Data, const float *X,
   if (Disk)
     Disk->store(Data, X, NumFeatures, PoisoningBudget, Config, Cert);
 }
-
-bool TieredStore::probe(const DatasetFingerprint &Data, const float *X,
-                        unsigned NumFeatures, uint32_t PoisoningBudget,
-                        const VerifierConfig &Config, Certificate &Out) {
-  // No promotion: a probe answers the admission-control question
-  // without disturbing residency.
-  if (Ram &&
-      Ram->probe(Data, X, NumFeatures, PoisoningBudget, Config, Out))
-    return true;
-  return Disk &&
-         Disk->probe(Data, X, NumFeatures, PoisoningBudget, Config, Out);
-}

@@ -71,12 +71,6 @@ public:
              unsigned NumFeatures, uint32_t PoisoningBudget,
              const VerifierConfig &Config, const Certificate &Cert) override;
 
-  /// Probes never promote: the shed path's "free answer?" question must
-  /// not spend RAM-tier budget on a query the server is refusing.
-  bool probe(const DatasetFingerprint &Data, const float *X,
-             unsigned NumFeatures, uint32_t PoisoningBudget,
-             const VerifierConfig &Config, Certificate &Out) override;
-
   /// Replication rides on the persistent tier: forwarded to `Disk`.
   ReplicationEndpoint *replication() override {
     return Disk ? Disk->replication() : nullptr;

@@ -96,6 +96,40 @@ TEST(CertServerTest, RepeatedQueriesHitTheCache) {
   EXPECT_EQ(Stats.LiveRecords, 1u);
 }
 
+// A client deadline clamps the verification's timeout, but it is the
+// request's budget, not part of the answer: deadline requests look up and
+// store under the server's own config, so a repeat is a hit (and a
+// request without a deadline hits the same entry).
+TEST(CertServerTest, DeadlineRequestsShareTheServersStoreEntry) {
+  Dataset Train = figure2Dataset();
+  CertCache Cache(/*MaxBytes=*/0);
+  CertServerConfig Config = smallConfig();
+  Config.Store = &Cache;
+  CertServer Server(Train, Config);
+
+  CertServer::SubmitOptions Deadline;
+  Deadline.DeadlineSeconds = 5.0;
+  uint64_t Ticket = 0;
+  Certificate Cold = Server.submit(point(9.5f), 2, Deadline, Ticket).get();
+  ASSERT_NE(Cold.Kind, VerdictKind::Timeout);
+  Server.drain();
+  ASSERT_EQ(Cache.stats().Misses, 1u);
+  ASSERT_EQ(Cache.stats().LiveRecords, 1u);
+
+  Certificate Again = Server.submit(point(9.5f), 2, Deadline, Ticket).get();
+  Certificate Plain = Server.submit(point(9.5f), 2).get();
+  Server.drain();
+  for (const Certificate *Hit : {&Again, &Plain}) {
+    EXPECT_EQ(Hit->Kind, Cold.Kind);
+    EXPECT_EQ(Hit->NumTerminals, Cold.NumTerminals);
+    EXPECT_EQ(Hit->Seconds, Cold.Seconds); // A replay, not a re-run.
+  }
+  StoreStats Stats = Cache.stats();
+  EXPECT_EQ(Stats.Hits, 2u);
+  EXPECT_EQ(Stats.Misses, 1u);
+  EXPECT_EQ(Stats.LiveRecords, 1u); // No dead per-deadline entries.
+}
+
 TEST(CertServerTest, MixedPoisoningBudgetsAreGroupedCorrectly) {
   Dataset Train = figure2Dataset();
   CertServer Server(Train, smallConfig());
@@ -351,7 +385,7 @@ TEST(CertServerTest, CompletionCallbackFiresExactlyOncePerRequest) {
   EXPECT_EQ(RefusedCalls.load(), 1);
 }
 
-TEST(CertServerTest, ProbeStoreAnswersOnlyWhatIsAlreadyKnown) {
+TEST(CertServerTest, LookupStoreAnswersOnlyWhatIsAlreadyKnown) {
   Dataset Train = figure2Dataset();
   CertCache Cache(/*MaxBytes=*/0);
   CertServerConfig Config = smallConfig();
@@ -360,24 +394,24 @@ TEST(CertServerTest, ProbeStoreAnswersOnlyWhatIsAlreadyKnown) {
 
   const float X[] = {9.5f};
   Certificate Probe;
-  // Cold store: the probe misses and — crucially — verifies nothing.
-  EXPECT_FALSE(Server.probeStore(X, 2, Probe));
+  // Cold store: the lookup misses and — crucially — verifies nothing.
+  EXPECT_FALSE(Server.lookupStore(X, 2, Probe));
   EXPECT_EQ(Server.pendingRequests(), 0u);
 
   Certificate Served = Server.submit(point(9.5f), 2).get();
   Server.drain();
 
-  // Warm: the probe replays the stored certificate verbatim.
-  ASSERT_TRUE(Server.probeStore(X, 2, Probe));
+  // Warm: the lookup replays the stored certificate verbatim.
+  ASSERT_TRUE(Server.lookupStore(X, 2, Probe));
   EXPECT_EQ(Probe.Kind, Served.Kind);
   EXPECT_EQ(Probe.NumTerminals, Served.NumTerminals);
   EXPECT_EQ(Probe.Seconds, Served.Seconds);
 
   // The range rule rides along: a Robust proof at radius 2 also answers
-  // the budget-1 probe (∆1 ⊆ ∆2), with the budget rewritten.
+  // the budget-1 lookup (∆1 ⊆ ∆2), with the budget rewritten.
   if (Served.isRobust()) {
     Certificate Narrower;
-    ASSERT_TRUE(Server.probeStore(X, 1, Narrower));
+    ASSERT_TRUE(Server.lookupStore(X, 1, Narrower));
     EXPECT_EQ(Narrower.Kind, VerdictKind::Robust);
     EXPECT_EQ(Narrower.PoisoningBudget, 1u);
     EXPECT_GE(Narrower.CertifiedRadius, 1u);
@@ -385,7 +419,7 @@ TEST(CertServerTest, ProbeStoreAnswersOnlyWhatIsAlreadyKnown) {
 
   // A point never queried still misses.
   const float Cold[] = {3.5f};
-  EXPECT_FALSE(Server.probeStore(Cold, 2, Probe));
+  EXPECT_FALSE(Server.lookupStore(Cold, 2, Probe));
 }
 
 TEST(CertServerTest, DeadlineExpiredWhileQueuedAnswersTimeout) {
@@ -473,9 +507,9 @@ TEST(CertServerTest, ChildDatasetNeverServesParentCertificates) {
   ASSERT_NE(Server.verifier().fingerprint(), PV.fingerprint());
 
   // The parent's wider proof is in the shared store, yet the child's
-  // store probe finds nothing to serve.
+  // store lookup finds nothing to serve.
   Certificate Probed;
-  EXPECT_FALSE(Server.probeStore(X, 1, Probed));
+  EXPECT_FALSE(Server.lookupStore(X, 1, Probed));
 
   // The child verifies fresh and never consults the parent's entries.
   StoreStats Before = Backing.stats();

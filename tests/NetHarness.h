@@ -38,9 +38,9 @@ namespace testharness {
 /// is closed — the deterministic way to pin fresh verifications
 /// "in flight" (they finish computing, then wait in the write-through)
 /// and saturate a CertServer's queue without sleeping. `lookup` always
-/// misses and never blocks, so an event loop probing the store (the
-/// shed path) cannot be stalled by it; RAM-tier hits in front of this
-/// store behave normally. Tests MUST `open()` the gate before tearing
+/// misses and never blocks, so the event loop's inline store lookup
+/// cannot be stalled by it; RAM-tier hits in front of this store behave
+/// normally. Tests MUST `open()` the gate before tearing
 /// the server down, or shutdown's drain waits forever.
 class GateStore : public CertificateStore {
 public:

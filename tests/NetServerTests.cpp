@@ -15,6 +15,9 @@
 
 #include "serving/NetServer.h"
 
+#include "serving/CertCache.h"
+#include "serving/TieredStore.h"
+
 #include "NetHarness.h"
 #include "TestUtil.h"
 
@@ -151,7 +154,7 @@ TEST(NetProtocolTest, ResponseCertificateRoundTripsEveryField) {
   NetResponse Response;
   Response.Tag = 42;
   Response.Status = NetStatus::Ok;
-  Response.Path = NetServePath::ShedProbe;
+  Response.Path = NetServePath::Stored;
   Response.Cert.Kind = VerdictKind::Robust;
   Response.Cert.PoisoningBudget = 5;
   Response.Cert.CertifiedRadius = 9;
@@ -172,7 +175,7 @@ TEST(NetProtocolTest, ResponseCertificateRoundTripsEveryField) {
   ASSERT_TRUE(Back.has_value());
   EXPECT_EQ(Back->Tag, 42u);
   EXPECT_EQ(Back->Status, NetStatus::Ok);
-  EXPECT_EQ(Back->Path, NetServePath::ShedProbe);
+  EXPECT_EQ(Back->Path, NetServePath::Stored);
   EXPECT_EQ(Back->Cert.Kind, VerdictKind::Robust);
   EXPECT_EQ(Back->Cert.PoisoningBudget, 5u);
   EXPECT_EQ(Back->Cert.CertifiedRadius, 9u);
@@ -184,6 +187,15 @@ TEST(NetProtocolTest, ResponseCertificateRoundTripsEveryField) {
   EXPECT_EQ(Back->Cert.PeakStateBytes, uint64_t(1) << 20);
   EXPECT_EQ(Back->Cert.BestSplitCalls, 4242u);
   EXPECT_EQ(Back->Cert.Seconds, 0.125);
+
+  // The path byte (payload offset 9, after tag and status) accepts the
+  // three defined paths and nothing past them.
+  std::string Bad = Frame;
+  Bad[8 + 9] = 3;
+  EXPECT_FALSE(decodeResponsePayload(
+                   reinterpret_cast<const uint8_t *>(Bad.data()) + 8,
+                   Bad.size() - 8)
+                   .has_value());
 }
 
 TEST(NetProtocolTest, FrameReaderReassemblesAtEveryTearOffset) {
@@ -258,6 +270,85 @@ TEST(NetServerTest, RoundTripMatchesFreshVerifier) {
               Expected.ConcretePrediction);
     EXPECT_EQ(Response.Cert.PoisoningBudget, 2u);
   }
+}
+
+// A stored answer never waits for a worker: with the only worker pinned
+// inside a long verification, an exact repeat and a range-rule query are
+// both answered from the event loop, and their bytes equal what the
+// worker path answers for the same queries.
+TEST(NetServerTest, StoredQueryIsAnsweredInlineWhileTheOnlyWorkerIsBusy) {
+  Dataset Train = figure2Dataset();
+  GateStore Gate;
+  CertCache Cache(/*MaxBytes=*/0);
+  TieredStore Store(&Cache, &Gate);
+  CertServerConfig Config;
+  Config.Query.Depth = 2;
+  Config.Query.Domain = AbstractDomainKind::Disjuncts;
+  Config.Query.Limits.TimeoutSeconds = 30.0;
+  Config.Jobs = 1;
+  Config.Store = &Store;
+  CertServer Server(Train, Config);
+  NetServer Net(Server, NetServerConfig());
+  // Destroyed before the servers: a failed assertion must not leave the
+  // gate closed, or their shutdown drain would wait forever.
+  struct OpenOnExit {
+    GateStore &Gate;
+    ~OpenOnExit() { Gate.open(); }
+  } Opener{Gate};
+  std::string Error;
+  ASSERT_TRUE(Net.start(Error)) << Error;
+  NetClient Client(Net.port());
+  ASSERT_TRUE(Client.connected());
+
+  // Warm one query through the worker path.
+  ASSERT_TRUE(Client.send(makeRequest(0, 2, point(9.5f))));
+  NetResponse Warm;
+  ASSERT_TRUE(Client.recvResponse(Warm));
+  ASSERT_EQ(Warm.Path, NetServePath::Verified);
+  ASSERT_TRUE(Warm.Cert.Kind == VerdictKind::Robust ||
+              Warm.Cert.Kind == VerdictKind::Unknown);
+  // The range rule's direction: a Robust proof answers narrower
+  // budgets, an Unknown wider ones.
+  uint32_t RangeN = Warm.Cert.isRobust() ? 1 : 3;
+
+  // Pin the only worker: a fresh query parks in the write-through.
+  Gate.close();
+  ASSERT_TRUE(Client.send(makeRequest(1, 3, point(20.0f))));
+  ASSERT_TRUE(Gate.waitForEntered(2)); // 1 warm + 1 pinned.
+
+  ASSERT_TRUE(Client.send(makeRequest(2, 2, point(9.5f))));
+  ASSERT_TRUE(Client.send(makeRequest(3, RangeN, point(9.5f))));
+  NetResponse Exact, Range;
+  ASSERT_TRUE(Client.recvResponse(Exact));
+  ASSERT_TRUE(Client.recvResponse(Range));
+  EXPECT_EQ(Exact.Tag, 2u);
+  EXPECT_EQ(Range.Tag, 3u);
+  EXPECT_EQ(Exact.Path, NetServePath::Stored);
+  EXPECT_EQ(Range.Path, NetServePath::Stored);
+  EXPECT_EQ(Range.Cert.PoisoningBudget, RangeN);
+  EXPECT_EQ(Range.Cert.CertifiedRadius, 2u);
+  EXPECT_EQ(Server.pendingRequests(), 1u) << "a hit went through the queue";
+  EXPECT_EQ(Net.stats().Stored, 2u);
+
+  // The worker-path answers for the same two queries, once the worker is
+  // free: the fresh verification that seeded the entry, and what a worker
+  // serves from the store. Same path byte, so the frames differ only if
+  // the certificates do.
+  Gate.open();
+  NetResponse Pinned;
+  ASSERT_TRUE(Client.recvResponse(Pinned));
+  EXPECT_EQ(Pinned.Tag, 1u);
+  auto Bytes = [](const NetResponse &Inline, const Certificate &Cert) {
+    NetResponse Same = Inline;
+    Same.Cert = Cert;
+    return encodeResponseFrame(Same);
+  };
+  EXPECT_EQ(encodeResponseFrame(Exact), Bytes(Exact, Warm.Cert));
+  EXPECT_EQ(encodeResponseFrame(Exact),
+            Bytes(Exact, Server.submit(point(9.5f), 2).get()));
+  EXPECT_EQ(encodeResponseFrame(Range),
+            Bytes(Range, Server.submit(point(9.5f), RangeN).get()));
+  Net.stop();
 }
 
 TEST(NetServerTest, TornFrameAcrossWritesIsStillServed) {

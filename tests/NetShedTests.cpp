@@ -5,8 +5,10 @@
 //
 // The admission-control half of the network tier: forced queue
 // saturation sheds with an explicit SHED status (never a fabricated
-// verdict), cache hits are still answered while shedding, pacing caps a
-// greedy client without starving its neighbours, and a deadline storm
+// verdict), store hits are answered on the event loop ahead of every
+// gate (while shedding, while paced, and without spending a token),
+// pacing caps a greedy client without starving its neighbours, and a
+// deadline storm
 // drains as Timeouts with the server healthy afterwards. Saturation is
 // produced deterministically by the GateStore (verifications pin inside
 // the store write-through), never by sleeping and hoping.
@@ -49,8 +51,9 @@ template <typename Fn> bool eventually(Fn Cond, int TimeoutMillis = 30000) {
 /// Server stack with admission knobs under test control. One worker, so
 /// a gated verification pins the only executor. The store is the
 /// production composition with the persistent tier swapped for the
-/// gate: a RAM cache in front (so warmed queries probe-serve while
-/// shedding) and the GateStore behind it pinning write-throughs.
+/// gate: a RAM cache in front (so warmed queries are answered on the
+/// loop while shedding) and the GateStore behind it pinning
+/// write-throughs.
 struct ShedStack {
   Dataset Train = figure2Dataset();
   GateStore Gate;
@@ -148,17 +151,19 @@ TEST(NetShedTest, CacheHitsAreStillAnsweredWhileShedding) {
   ASSERT_TRUE(eventually(
       [&] { return Stack.Server->pendingRequests() >= 2; }));
 
-  // The warmed query again, while shedding: answered from the store —
-  // Ok with the probe path marked — not shed, not re-verified.
+  // The warmed query again, while shedding: answered from the store on
+  // the loop — Ok with the stored path marked — not shed, not queued,
+  // not re-verified.
   ASSERT_TRUE(Client.send(makeRequest(3, 2, point(9.5f))));
   NetResponse Hit;
   ASSERT_TRUE(Client.recvResponse(Hit));
   EXPECT_EQ(Hit.Tag, 3u);
   EXPECT_EQ(Hit.Status, NetStatus::Ok);
-  EXPECT_EQ(Hit.Path, NetServePath::ShedProbe);
+  EXPECT_EQ(Hit.Path, NetServePath::Stored);
   EXPECT_EQ(Hit.Cert.Kind, Warm.Cert.Kind);
   EXPECT_EQ(Hit.Cert.ConcretePrediction, Warm.Cert.ConcretePrediction);
-  EXPECT_GE(Stack.Net->stats().ProbeHits, 1u);
+  EXPECT_EQ(Stack.Net->stats().Stored, 1u);
+  EXPECT_EQ(Stack.Net->stats().ShedOverload, 0u);
 
   // A cold query in the same breath is still refused.
   ASSERT_TRUE(Client.send(makeRequest(4, 2, point(40.0f))));
@@ -227,7 +232,7 @@ TEST(NetShedTest, PacedClientStillGetsCachedAnswers) {
   ASSERT_EQ(Warm.Path, NetServePath::Verified);
 
   // ...after which the bucket is empty: repeats of the known query are
-  // probe-served, anything new is shed as paced.
+  // answered from the store, anything new is shed as paced.
   ASSERT_TRUE(Client.send(makeRequest(1, 2, point(9.5f))));
   ASSERT_TRUE(Client.send(makeRequest(2, 2, point(20.0f))));
   NetResponse Repeat, Fresh;
@@ -235,11 +240,56 @@ TEST(NetShedTest, PacedClientStillGetsCachedAnswers) {
   ASSERT_TRUE(Client.recvResponse(Fresh));
   EXPECT_EQ(Repeat.Tag, 1u);
   EXPECT_EQ(Repeat.Status, NetStatus::Ok);
-  EXPECT_EQ(Repeat.Path, NetServePath::ShedProbe);
+  EXPECT_EQ(Repeat.Path, NetServePath::Stored);
   EXPECT_EQ(Repeat.Cert.Kind, Warm.Cert.Kind);
   EXPECT_EQ(Fresh.Tag, 2u);
   EXPECT_EQ(Fresh.Status, NetStatus::Shed);
   EXPECT_EQ(Fresh.ShedReason, NetShedReason::Paced);
+}
+
+TEST(NetShedTest, StoreHitsSpendNoToken) {
+  NetServerConfig NetConfig;
+  NetConfig.ClientRate = 0.0001;
+  NetConfig.ClientBurst = 1.0;
+  ShedStack Stack(NetConfig);
+
+  // Another connection (its own bucket) stores the answer first.
+  NetClient Warmer(Stack.port());
+  ASSERT_TRUE(Warmer.connected());
+  ASSERT_TRUE(Warmer.send(makeRequest(0, 2, point(9.5f))));
+  NetResponse Warm;
+  ASSERT_TRUE(Warmer.recvResponse(Warm));
+  ASSERT_EQ(Warm.Path, NetServePath::Verified);
+
+  // A one-token client repeats it three times: three hits, and the
+  // token is still there for the first new query; only the second new
+  // query finds the bucket empty.
+  NetClient Client(Stack.port());
+  ASSERT_TRUE(Client.connected());
+  for (uint64_t I = 0; I < 3; ++I)
+    ASSERT_TRUE(Client.send(makeRequest(I, 2, point(9.5f))));
+  ASSERT_TRUE(Client.send(makeRequest(3, 2, point(20.0f))));
+  ASSERT_TRUE(Client.send(makeRequest(4, 2, point(21.0f))));
+  std::vector<NetResponse> Got(5);
+  for (int I = 0; I < 5; ++I) {
+    NetResponse Response;
+    ASSERT_TRUE(Client.recvResponse(Response));
+    ASSERT_LT(Response.Tag, 5u);
+    Got[Response.Tag] = Response;
+  }
+  for (uint64_t I = 0; I < 3; ++I) {
+    EXPECT_EQ(Got[I].Status, NetStatus::Ok) << "tag " << I;
+    EXPECT_EQ(Got[I].Path, NetServePath::Stored) << "tag " << I;
+  }
+  EXPECT_EQ(Got[3].Status, NetStatus::Ok);
+  EXPECT_EQ(Got[3].Path, NetServePath::Verified);
+  EXPECT_EQ(Got[4].Status, NetStatus::Shed);
+  EXPECT_EQ(Got[4].ShedReason, NetShedReason::Paced);
+
+  NetServerStats Stats = Stack.Net->stats();
+  EXPECT_EQ(Stats.Stored, 3u);
+  EXPECT_EQ(Stats.Verified, 2u);
+  EXPECT_EQ(Stats.ShedPaced, 1u);
 }
 
 TEST(NetShedTest, DeadlineStormDrainsAsTimeoutsAndServerStaysHealthy) {
