@@ -35,12 +35,10 @@ std::string StoreStats::summary() const {
   if (Disk) {
     Len = std::snprintf(
         Buf, sizeof(Buf),
-        " segments=%llu corrupt=%llu stale=%llu compactions=%llu "
-        "retention_evicted=%llu",
+        " segments=%llu corrupt=%llu stale=%llu retention_evicted=%llu",
         static_cast<unsigned long long>(Segments),
         static_cast<unsigned long long>(CorruptSkipped),
         static_cast<unsigned long long>(StaleSegments),
-        static_cast<unsigned long long>(Compactions),
         static_cast<unsigned long long>(RetentionEvictedSegments));
     Out.append(Buf, Len < 0 ? 0 : static_cast<size_t>(Len));
   }

@@ -54,7 +54,8 @@ struct StoreStats {
   // Write-path counters.
   uint64_t Stores = 0;             ///< Records this handle accepted.
   uint64_t DuplicatesDeclined = 0; ///< Stores skipped: key already present.
-  uint64_t Declined = 0;   ///< Stores refused (verdict / budget).
+  uint64_t Declined = 0;   ///< Stores refused: verdict, budget, or a
+                           ///< failed disk append.
   uint64_t Evictions = 0;  ///< Entries dropped (LRU tail or retention).
 
   // Live footprint.
@@ -66,10 +67,11 @@ struct StoreStats {
                      ///< extras below).
   uint64_t Segments = 0;       ///< Readable current-version segments.
   uint64_t CorruptSkipped = 0; ///< Torn/corrupt records dropped.
-  uint64_t StaleSegments = 0;  ///< Segments skipped: wrong magic/version.
+  uint64_t StaleSegments = 0;  ///< Segments skipped at open: wrong
+                               ///< magic/version or shorter than a
+                               ///< header (unlinked), or unreadable
+                               ///< (left for the next open).
   uint64_t DuplicateRecords = 0; ///< Redundant records seen by scans.
-  uint64_t Compactions = 0;
-  uint64_t CompactionRecordsDropped = 0;
   uint64_t RetentionEvictedSegments = 0; ///< Whole segments evicted by
                                          ///< the retention budget.
 

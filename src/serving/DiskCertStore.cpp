@@ -14,7 +14,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <tuple>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -192,8 +191,7 @@ bool readPayload(const uint8_t *Payload, size_t PayloadBytes, StoreKey &K,
   // write side may persist are accepted back — `isDeterministicVerdict`
   // on the read side too, so even a record appended by buggy or
   // foreign tooling can never replay a Timeout/Cancelled a fresh run
-  // might contradict (and compaction drops it rather than copying it
-  // forward).
+  // might contradict.
   return !R.Failed && R.Pos == PayloadBytes &&
          isDeterministicVerdict(Cert.Kind);
 }
@@ -403,20 +401,8 @@ DiskCertStore::OpenResult DiskCertStore::open(const std::string &Dir,
           "cannot lock certificate store '" + Dir + "': " + errnoString();
     return Result;
   }
-  uint64_t TotalSegmentBytes = 0;
-  if (!Store->loadLocked(Result.Error, TotalSegmentBytes))
+  if (!Store->loadLocked(Result.Error))
     return Result;
-
-  // Auto-compaction: when more than half the directory is dead weight —
-  // stale-version segments after a format bump, corruption, piles of
-  // duplicates — reclaim it now rather than serving from (and paying
-  // the scan of) a junkyard forever. Dead bytes are everything scanned
-  // but not indexed. Best effort: a failed compaction leaves the
-  // just-built index serving, same as no trigger at all.
-  uint64_t Live = Store->Stats.LiveBytes;
-  uint64_t Dead = TotalSegmentBytes > Live ? TotalSegmentBytes - Live : 0;
-  if (Dead > TotalSegmentBytes / 2)
-    Store->compact();
   // The directory may already exceed the retention budget (the budget
   // may have shrunk since the last run).
   Store->applyRetentionLocked();
@@ -426,20 +412,12 @@ DiskCertStore::OpenResult DiskCertStore::open(const std::string &Dir,
 
 DiskCertStore::~DiskCertStore() {
   std::lock_guard<std::mutex> Guard(Mutex);
-  closeFdsLocked();
+  for (auto &[Segment, Fd] : ReadFds)
+    ::close(Fd); // Only successful opens are cached.
+  if (AppendFd >= 0)
+    ::close(AppendFd);
   if (LockFd >= 0)
     ::close(LockFd);
-}
-
-void DiskCertStore::closeFdsLocked() {
-  for (auto &[Segment, Fd] : ReadFds)
-    if (Fd >= 0)
-      ::close(Fd);
-  ReadFds.clear();
-  if (AppendFd >= 0) {
-    ::close(AppendFd);
-    AppendFd = -1;
-  }
 }
 
 std::string DiskCertStore::segmentPath(uint32_t Segment) const {
@@ -448,29 +426,35 @@ std::string DiskCertStore::segmentPath(uint32_t Segment) const {
   return Dir + "/" + Name;
 }
 
-bool DiskCertStore::loadLocked(std::string &Error,
-                               uint64_t &TotalSegmentBytes) {
+bool DiskCertStore::loadLocked(std::string &Error) {
   std::vector<uint32_t> Ids;
   if (!listSegmentIds(Dir, Ids, Error))
     return false;
+  uint32_t Newest = Ids.empty() ? 0 : Ids.back();
   uint64_t FileBytes = 0;
   for (uint32_t Id : Ids) {
-    bool Live = scanSegmentLocked(Id, FileBytes);
-    TotalSegmentBytes += FileBytes;
-    if (!Live)
-      // Unusable: reclaimed by compaction.
+    uint64_t IndexedBefore = Stats.LiveRecords;
+    if (!scanSegmentLocked(Id, FileBytes)) {
       ++Stats.StaleSegments;
-    else if (Segments[Id].End < FileBytes)
+      continue;
+    }
+    if (Segments[Id].End < FileBytes)
       // A torn tail or a bad record header ended the walk early.
       ++Stats.CorruptSkipped;
+    if (Id != Newest && Stats.LiveRecords == IndexedBefore) {
+      // A closed segment that serves nothing (every record corrupt or a
+      // duplicate) never will: no append lands in it again.
+      forgetSegmentLocked(Id);
+      ::unlink(segmentPath(Id).c_str());
+    }
   }
-  uint32_t Newest = Ids.empty() ? 0 : Ids.back();
 
   // Appends continue the newest segment when it ends on a record
   // boundary — a torn tail is truncated back to one, since a scan stops
   // at the first bad boundary and appending after garbage would strand
   // the new records. A stale, foreign, or unrepairable newest segment
-  // routes them to a fresh one instead.
+  // routes them to a fresh one instead (its id stays retired even once
+  // the file is unlinked).
   AppendSegment = Newest + 1;
   auto It = Segments.find(Newest);
   if (It == Segments.end())
@@ -487,21 +471,22 @@ bool DiskCertStore::scanSegmentLocked(uint32_t Id, uint64_t &FileBytes) {
   int Fd = readFdLocked(Id);
   struct stat St;
   if (Fd < 0 || ::fstat(Fd, &St) != 0)
-    return false;
+    return false; // Left on disk for the next open to retry.
   FileBytes = static_cast<uint64_t>(St.st_size);
   std::vector<uint8_t> Bytes(FileBytes);
-  bool Current = FileBytes >= SegmentHeaderBytes &&
-                 readBytesLocked(Id, 0, Bytes) == ReadStatus::Ok;
-  if (Current) {
-    ByteReader R{Bytes.data(), SegmentHeaderBytes};
-    Current = R.u32() == SegmentMagic && R.u32() == FormatVersion;
-  }
+  bool Read = readBytesLocked(Id, 0, Bytes) == ReadStatus::Ok;
+  ByteReader R{Bytes.data(), Bytes.size()};
+  bool Current = Read && Bytes.size() >= SegmentHeaderBytes &&
+                 R.u32() == SegmentMagic && R.u32() == FormatVersion;
   if (!Current) {
-    // Foreign, other-format, torn before its header finished, or
-    // unreadable: skipped wholesale — a format bump invalidates cleanly
-    // instead of half-parsing.
     ::close(Fd);
     ReadFds.erase(Id);
+    if (Read)
+      // Foreign, other-format, or torn before its header finished: never
+      // half-parsed, but unlinked, so a format bump reclaims its old
+      // segments on the first open. An unreadable one is left for the
+      // next open to retry.
+      ::unlink(segmentPath(Id).c_str());
     return false;
   }
   SegmentState &S = Segments[Id];
@@ -551,8 +536,8 @@ bool DiskCertStore::indexRecordLocked(StoreKey &&Key, const Certificate &Cert,
   Ref.CertifiedRadius = Cert.CertifiedRadius;
   auto [It, Inserted] = Index.try_emplace(std::move(Key), Ref);
   if (!Inserted) {
-    // Equal keys hold interchangeable certificates; keep the first, let
-    // compaction reclaim the rest.
+    // Equal keys hold interchangeable certificates; keep the first. A
+    // closed segment left serving nothing is unlinked by the next open.
     ++Stats.DuplicateRecords;
     return false;
   }
@@ -757,13 +742,17 @@ void DiskCertStore::store(const DatasetFingerprint &Data, const float *X,
   std::lock_guard<std::mutex> Guard(Mutex);
   if (Index.count(K)) {
     // Certificates for equal keys are interchangeable; appending again
-    // would only grow the segment for compaction to reclaim.
+    // would only grow the segment with bytes nothing serves.
     ++Stats.DuplicatesDeclined;
     return;
   }
   std::vector<uint8_t> Record = serializeRecord(K, Cert);
-  if (!appendLocked(Record, std::move(K), Cert))
-    return; // The store may decline (CertificateStore contract).
+  if (!appendLocked(Record, std::move(K), Cert)) {
+    // The store may decline (CertificateStore contract), but counts it:
+    // a directory that stopped taking writes shows on the `disk:` line.
+    ++Stats.Declined;
+    return;
+  }
   ++Stats.Stores;
   applyRetentionLocked();
 }
@@ -791,117 +780,6 @@ void DiskCertStore::applyRetentionLocked() {
   }
 }
 
-bool DiskCertStore::compact(std::string *Error) {
-  auto Fail = [&](const std::string &Message) {
-    if (Error)
-      *Error = Message;
-    return false;
-  };
-  std::lock_guard<std::mutex> Guard(Mutex);
-
-  // The index already holds every intact record this handle scanned or
-  // wrote; those survive. The listing finds every file to reclaim —
-  // duplicates and torn/corrupt records inside live segments, and
-  // stale-version or torn segments the index never used.
-  std::vector<uint32_t> OldSegments;
-  std::string ListError;
-  if (!listSegmentIds(Dir, OldSegments, ListError))
-    return Fail(ListError);
-  uint64_t WalkedRecords = 0;
-  for (const auto &[Id, S] : Segments)
-    WalkedRecords += S.Starts.size();
-  // Every segment file was in the directory at open or written by this
-  // handle since, so the ids past the append segment are free.
-  uint32_t NewSegment = AppendSegment + 1;
-  std::string NewPath = segmentPath(NewSegment);
-
-  // O_EXCL: never clobber an existing file — an unlink is irreversible.
-  int Fd = ::open(NewPath.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (Fd < 0)
-    return Fail("cannot create '" + NewPath + "': " + errnoString());
-  auto Abort = [&](const std::string &Message) {
-    ::close(Fd);
-    ::unlink(NewPath.c_str());
-    return Fail(Message);
-  };
-  ByteWriter Header;
-  Header.u32(SegmentMagic);
-  Header.u32(FormatVersion);
-  if (!writeAll(Fd, Header.Bytes.data(), Header.Bytes.size()))
-    return Abort("cannot write '" + NewPath + "': " + errnoString());
-
-  // Copy the indexed records in log order, re-validated on the way (a
-  // record that rotted since its scan is dropped, not copied forward).
-  std::vector<IndexMap::iterator> Survivors;
-  for (auto It = Index.begin(); It != Index.end(); ++It)
-    Survivors.push_back(It);
-  std::sort(Survivors.begin(), Survivors.end(), [](auto A, auto B) {
-    return std::tie(A->second.Segment, A->second.PayloadOffset) <
-           std::tie(B->second.Segment, B->second.PayloadOffset);
-  });
-  IndexMap NewIndex;
-  SegmentState NewState{SegmentHeaderBytes, {}};
-  for (IndexMap::iterator It : Survivors) {
-    const RecordRef &Ref = It->second;
-    std::vector<uint8_t> Record(RecordHeaderBytes + Ref.PayloadBytes);
-    StoreKey Key;
-    Certificate Cert;
-    if (readBytesLocked(Ref.Segment, Ref.PayloadOffset - RecordHeaderBytes,
-                        Record) != ReadStatus::Ok ||
-        !parseRecord(Record.data(), Record.size(), Key, Cert) ||
-        Key != It->first)
-      continue;
-    if (!writeAll(Fd, Record.data(), Record.size()))
-      return Abort("cannot write '" + NewPath + "': " + errnoString());
-    RecordRef NewRef = Ref;
-    NewRef.Segment = NewSegment;
-    NewRef.PayloadOffset = NewState.End + RecordHeaderBytes;
-    NewIndex.emplace(It->first, NewRef);
-    NewState.Starts.push_back(NewState.End);
-    NewState.End += Record.size();
-  }
-  // The new segment must be durable before the old ones disappear —
-  // its *data* via fsync on the file, its *directory entry* via fsync
-  // on the directory (without the latter, a power loss after the
-  // unlinks below could persist the removals but not the new file,
-  // emptying the store).
-  if (::fsync(Fd) != 0)
-    return Abort("cannot fsync '" + NewPath + "': " + errnoString());
-  ::close(Fd);
-  {
-    int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (DirFd < 0 || ::fsync(DirFd) != 0) {
-      if (DirFd >= 0)
-        ::close(DirFd);
-      ::unlink(NewPath.c_str());
-      return Fail("cannot fsync '" + Dir + "': " + errnoString());
-    }
-    ::close(DirFd);
-  }
-
-  // Point reads at the new segment, then reclaim every old file —
-  // including stale-version and torn segments the scan skipped.
-  closeFdsLocked();
-  for (uint32_t Id : OldSegments)
-    ::unlink(segmentPath(Id).c_str());
-
-  Index = std::move(NewIndex);
-  Ranges.clear();
-  for (const auto &[Key, Ref] : Index)
-    Ranges.add(Key, Ref.Kind, Ref.CertifiedRadius);
-  // Same accounting as the open-time scan: record bytes (16-byte record
-  // headers included), the 8-byte segment header excluded.
-  Stats.LiveRecords = Index.size();
-  Stats.LiveBytes = NewState.End - SegmentHeaderBytes;
-  Segments.clear();
-  Segments.emplace(NewSegment, std::move(NewState));
-  AppendSegment = NewSegment;
-  ++Stats.Compactions;
-  Stats.CompactionRecordsDropped += WalkedRecords - Index.size();
-  Stats.DuplicateRecords = 0;
-  return true;
-}
-
 ReplicationEndpoint::Delta
 DiskCertStore::serveReplicationPoll(const PollRequest &Poll) {
   std::lock_guard<std::mutex> Guard(Mutex);
@@ -912,9 +790,10 @@ DiskCertStore::serveReplicationPoll(const PollRequest &Poll) {
   auto Seg = Segments.find(Poll.Segment);
   uint64_t Offset = Poll.Offset;
   if (Seg == Segments.end()) {
-    // The cursor's segment is gone (compaction, retention) or was never
-    // one of ours: resume at the next live segment, else at the oldest.
-    // Whatever that replays, the replica declines as duplicates.
+    // The cursor's segment is gone (retention, or unlinked by an open)
+    // or was never one of ours: resume at the next live segment, else
+    // at the oldest. Whatever that replays, the replica declines as
+    // duplicates.
     Seg = Segments.upper_bound(Poll.Segment);
     if (Seg == Segments.end())
       Seg = Segments.begin();
@@ -990,9 +869,9 @@ DiskCertStore::applyReplicatedRecord(const uint8_t *Data, size_t Size) {
     return ApplyResult::Corrupt;
   }
   if (Index.count(Key)) {
-    // Replays (after a source compaction, a cursor rewind, a fresh
-    // puller) are no-ops — the normal duplicate-decline path makes
-    // replication idempotent.
+    // Replays (after a cursor rewind, a fresh puller, a source segment
+    // gone under the cursor) are no-ops — the normal duplicate-decline
+    // path makes replication idempotent.
     ++Stats.DuplicatesDeclined;
     return ApplyResult::Duplicate;
   }

@@ -33,9 +33,8 @@
 /// certificate sections (a removal proof must never answer a flip
 /// query; pre-threat records carry no model tag, so they cannot be
 /// attributed safely). Per the invalidation story below, version-1 and
-/// version-2 segments are skipped wholesale on open and reclaimed by
-/// the next compaction (their certificates are simply re-verified;
-/// always sound).
+/// version-2 segments are skipped wholesale and unlinked on open (their
+/// certificates are simply re-verified; always sound).
 ///
 /// Every multi-byte field is explicitly little-endian; a record is
 /// written with a single `write(2)` call, so a crash can only leave a
@@ -53,6 +52,15 @@
 /// the last whole record so later appends are not stranded behind
 /// garbage. tests/DiskCertStoreTests.cpp truncates a store at every
 /// byte offset and asserts reopen never returns a wrong certificate.
+///
+/// The same scan reclaims what can never serve again. It unlinks every
+/// segment whose header it read and rejected (foreign magic, another
+/// format version, shorter than a header), and every current-version
+/// segment other than the newest in which no record was indexed (all
+/// corrupt or duplicates). A segment it could not open or read is left
+/// for the next open. Corrupt bytes inside a live segment stay until
+/// retention evicts that segment. Nothing is ever rewritten: records
+/// are never overwritten, so there is no live data to copy forward.
 ///
 /// ## Ownership
 ///
@@ -73,31 +81,33 @@
 /// `serveReplicationPoll` ships the whole records after it, bytes
 /// exactly as they sit in the segment (checksum re-verified before
 /// shipping; a corrupt or out-of-scope record is skipped but the cursor
-/// still moves past it). A cursor in a deleted segment (compaction,
-/// retention) resumes at the next live segment, else the oldest; an
-/// offset past EOF or off a walked record boundary rewinds to that
-/// segment's first record. `applyReplicatedRecord` is the replica side:
-/// it validates the record like an open-time scan would, declines
-/// duplicates, and appends the *identical bytes* — so a replicated
-/// certificate is byte-for-byte the source's, and a replay (after a
-/// source compaction, say) degrades to duplicate declines, never a
-/// wrong certificate.
+/// still moves past it). A cursor in a deleted segment (evicted by
+/// retention, or unlinked by an open) resumes at the next live segment,
+/// else the oldest; an offset past EOF or off a walked record boundary
+/// rewinds to that segment's first record. `applyReplicatedRecord` is
+/// the replica side: it validates the record like an open-time scan
+/// would, declines duplicates, and appends the *identical bytes* — so a
+/// replicated certificate is byte-for-byte the source's, and a replay
+/// (after a rewind, say) degrades to duplicate declines, never a wrong
+/// certificate.
 ///
 /// ## Retention
 ///
 /// `RetentionBytes` caps the directory's segment bytes: once exceeded,
 /// whole segments are evicted oldest-first (never the open append
 /// segment). Certificates are cache entries, not ledger rows — an
-/// evicted record is simply re-verified. A replica whose cursor sits in
-/// a surviving segment is unaffected.
+/// evicted record is simply re-verified. Retention is also what
+/// reclaims corrupt bytes inside a live segment. A replica whose cursor
+/// sits in a surviving segment is unaffected; one whose cursor segment
+/// was evicted resumes at the next live one.
 ///
 /// ## Invalidation story
 ///
 ///  - dataset changed → fingerprint changed → key never matches: no
 ///    staleness by construction, nothing to invalidate.
 ///  - format changed → bump `FormatVersion` → old segments fail the
-///    header check, are skipped wholesale on open, and are reclaimed by
-///    the next compaction.
+///    header check and are skipped wholesale and unlinked on open. An
+///    older binary likewise unlinks a newer binary's segments.
 ///
 /// Only deterministic verdicts (Robust / Unknown / ResourceLimit) are
 /// ever persisted — the same discipline as the RAM tier; `store`
@@ -123,8 +133,8 @@ namespace antidote {
 
 struct DiskCertStoreOptions {
   /// Appends rotate to a fresh segment once the current one would grow
-  /// past this (compaction granularity; the format has no hard limit).
-  /// 0 = never rotate.
+  /// past this (retention's eviction granularity; the format has no hard
+  /// limit). 0 = never rotate.
   uint64_t MaxSegmentBytes = 4ull << 20;
 
   /// Byte budget for the directory's segment files; 0 = unbounded.
@@ -143,9 +153,9 @@ class DiskCertStore final : public CertificateStore,
                             public ReplicationEndpoint {
 public:
   /// Bump on any record/segment layout change: old segments are then
-  /// skipped wholesale on open (never half-parsed) and reclaimed by the
-  /// next compaction. 2 = CertifiedRadius joined the payload; 3 = the
-  /// threat model byte joined both the key and certificate sections.
+  /// skipped wholesale (never half-parsed) and unlinked on open. 2 =
+  /// CertifiedRadius joined the payload; 3 = the threat model byte
+  /// joined both the key and certificate sections.
   static constexpr uint32_t FormatVersion = 3;
 
   /// `open` either yields a store or a human-readable reason it could
@@ -158,13 +168,11 @@ public:
   };
 
   /// Opens (creating if needed) the store directory \p Dir, takes
-  /// ownership of it, and rebuilds the index from its segments. When
-  /// dead bytes — stale-version segments, torn/corrupt records,
-  /// duplicates, anything scanned but not indexed — are more than half
-  /// the segment bytes on disk, open compacts right away, so a format
-  /// bump reclaims its invalidated segments on the first open. That
-  /// compaction failing (I/O error) is not an open failure: the store
-  /// serves what it indexed and the dead bytes wait for the next chance.
+  /// ownership of it, and rebuilds the index from its segments. The
+  /// scan unlinks stale-version segments and closed segments with no
+  /// indexed record (see "Crash consistency" above), so a format bump
+  /// reclaims its invalidated segments on the first open; an unlink
+  /// that fails is not an open failure. Then retention applies.
   static OpenResult open(const std::string &Dir,
                          const DiskCertStoreOptions &Options = {});
 
@@ -189,14 +197,6 @@ public:
   Delta serveReplicationPoll(const PollRequest &Poll) override;
   ApplyResult applyReplicatedRecord(const uint8_t *Data,
                                     size_t Size) override;
-
-  /// Directory-wide rewrite: copies every indexed record that still
-  /// reads back intact into one fresh segment, then deletes every other
-  /// segment file in the directory. What gets reclaimed is exactly
-  /// duplicate records, torn/corrupt records, and stale-version or torn
-  /// segments. Returns false (and fills \p Error) on I/O failure,
-  /// leaving the old segments in place.
-  bool compact(std::string *Error = nullptr);
 
 private:
   struct RecordRef {
@@ -231,18 +231,17 @@ private:
     Stats.Disk = true;
   }
 
-  /// Scans every segment, builds the index, repairs a torn tail on the
-  /// newest segment, and picks the append segment. \p TotalSegmentBytes
-  /// accumulates every segment file's size, indexed or not — the
-  /// denominator of the auto-compaction dead fraction. Returns false
-  /// with \p Error on hard I/O failure. Caller holds the mutex.
-  bool loadLocked(std::string &Error, uint64_t &TotalSegmentBytes);
+  /// Scans every segment, builds the index, unlinks closed segments
+  /// with no indexed record, repairs a torn tail on the newest segment,
+  /// and picks the append segment. Returns false with \p Error on hard
+  /// I/O failure. Caller holds the mutex.
+  bool loadLocked(std::string &Error);
 
   /// Checks segment \p Id's header and indexes the intact records of a
   /// current-version segment; false (nothing indexed) for a foreign,
-  /// stale-version, torn-header, or unreadable one. \p FileBytes
-  /// receives the file's size. Runs only at open; caller holds the
-  /// mutex.
+  /// stale-version, torn-header, or unreadable one, of which all but
+  /// the unreadable are unlinked. \p FileBytes receives the file's
+  /// size. Runs only at open; caller holds the mutex.
   bool scanSegmentLocked(uint32_t Id, uint64_t &FileBytes);
 
   /// Drops segment \p Id and every index entry in it; returns how many
@@ -284,8 +283,6 @@ private:
   /// the mutex.
   ReadStatus readBytesLocked(uint32_t Segment, uint64_t Offset,
                              std::vector<uint8_t> &Out);
-
-  void closeFdsLocked();
 
   /// Erases one index entry (stats + range index); returns the next.
   /// Caller holds the mutex.

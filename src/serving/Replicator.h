@@ -19,11 +19,11 @@
 /// replication pure data-plane motion: there is no conflict to resolve,
 /// only records to copy. The replica keeps a (segment, offset) cursor
 /// into the source's segments; the source answers with the records after
-/// it. When a compaction deletes the cursor's segment, the source
-/// resumes at the next live one, and the replays are absorbed by the
-/// duplicate decline. Catch-up is greedy: until the source reports the
-/// cursor at the head of its newest segment, the puller polls again
-/// immediately instead of sleeping out the interval.
+/// it. When retention evicts the cursor's segment (or an open unlinks
+/// it), the source resumes at the next live one, and any replays are
+/// absorbed by the duplicate decline. Catch-up is greedy: until the
+/// source reports the cursor at the head of its newest segment, the
+/// puller polls again immediately instead of sleeping out the interval.
 ///
 /// Failure policy: every network or framing error closes the connection,
 /// counts one `Errors`, and retries after the poll interval — the

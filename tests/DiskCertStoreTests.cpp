@@ -8,10 +8,10 @@
 // byte-identical to the fresh verdict; a torn or corrupt record is
 // *never served* (the crash-consistency test truncates a store at every
 // byte offset and reopens it — the ASan CI job runs this too); format
-// bumps invalidate old segments wholesale; compaction reclaims duplicate
-// records without losing live ones; one process owns a directory until
-// its handle goes (or the process dies); and the two-tier composition
-// promotes disk hits into RAM.
+// bumps invalidate old segments wholesale and open unlinks them, along
+// with closed segments that serve nothing, without losing live records;
+// one process owns a directory until its handle goes (or the process
+// dies); and the two-tier composition promotes disk hits into RAM.
 //
 //===----------------------------------------------------------------------===//
 
@@ -486,17 +486,15 @@ TEST(DiskCertStoreTest, TornTailIsRepairedAndAppendsStayReachable) {
 }
 
 //===----------------------------------------------------------------------===//
-// Versioning, compaction, rotation
+// Versioning, the open-time sweep, rotation
 //===----------------------------------------------------------------------===//
 
 TEST(DiskCertStoreTest, FormatVersionBumpInvalidatesWholeSegment) {
   TempStoreDir Dir;
   Dataset Train = figure2Dataset();
   Verifier V(Train);
-  // One record per segment, so the stale segment below is about a third
-  // of the directory: too little dead weight for the open-time
-  // compaction (it has its own tests below), which leaves this test the
-  // *skip*.
+  // One record per segment, so the stale segment below is the newest of
+  // three and the two older ones stay live.
   DiskCertStoreOptions Tiny;
   Tiny.MaxSegmentBytes = 1;
   std::vector<float> Queries = {1.5f, 9.5f, 12.5f};
@@ -512,26 +510,26 @@ TEST(DiskCertStoreTest, FormatVersionBumpInvalidatesWholeSegment) {
   std::unique_ptr<DiskCertStore> Store = openOrDie(Dir.path());
   StoreStats Stats = Store->stats();
   EXPECT_EQ(Stats.StaleSegments, 1u);
-  EXPECT_EQ(Stats.Compactions, 0u);
   EXPECT_EQ(Stats.LiveRecords, 2u);
   EXPECT_EQ(Stats.Segments, 2u);
+  struct stat St;
+  EXPECT_NE(::stat(Segment.c_str(), &St), 0); // Unlinked by the open.
 
   // Nothing of the stale segment is indexed: its query misses. The
-  // re-verified record must route to a fresh segment, never append
-  // behind the foreign-format one, and the next open must see it.
+  // re-verified record must route to a fresh segment, never reuse the
+  // stale one's id, and the next open must see it.
   VerifierConfig Config = makeConfig(AbstractDomainKind::Box);
   Config.Cache = Store.get();
   const float X[] = {Queries[2]};
   Certificate Cold = V.verify(X, 1, Config);
   EXPECT_EQ(Store->stats().Misses, 1u);
   EXPECT_EQ(Store->stats().Stores, 1u);
-  EXPECT_EQ(readFileBytes(Segment), Bytes);
-  struct stat St;
+  EXPECT_NE(::stat(Segment.c_str(), &St), 0);
   EXPECT_EQ(::stat(Dir.sub("seg-000004.antcert").c_str(), &St), 0);
   Store.reset();
 
   Store = openOrDie(Dir.path());
-  EXPECT_EQ(Store->stats().StaleSegments, 1u);
+  EXPECT_EQ(Store->stats().StaleSegments, 0u);
   EXPECT_EQ(Store->stats().LiveRecords, 3u);
   Config.Cache = Store.get();
   Certificate Warm = V.verify(X, 1, Config);
@@ -539,10 +537,9 @@ TEST(DiskCertStoreTest, FormatVersionBumpInvalidatesWholeSegment) {
   expectIdenticalCertificates(Cold, Warm);
 }
 
-TEST(DiskCertStoreTest, AutoCompactOnOpenReclaimsStaleSegments) {
-  // A format bump leaves the directory dominated by dead bytes; the
-  // default options reclaim them on the very next open instead of
-  // waiting for an explicit compact().
+TEST(DiskCertStoreTest, OpenUnlinksStaleSegments) {
+  // A format bump's segments are reclaimed by the very next open: the
+  // scan that rejects a header unlinks its file.
   TempStoreDir Dir;
   Dataset Train = figure2Dataset();
   Verifier V(Train);
@@ -553,73 +550,94 @@ TEST(DiskCertStoreTest, AutoCompactOnOpenReclaimsStaleSegments) {
   Bytes[4] = static_cast<uint8_t>(DiskCertStore::FormatVersion + 1);
   writeFileBytes(Segment, Bytes);
 
-  // Every byte of the directory is dead, well past half: open
-  // compacts, unlinking the stale segment.
   std::unique_ptr<DiskCertStore> Store = openOrDie(Dir.path());
   StoreStats Stats = Store->stats();
   EXPECT_EQ(Stats.StaleSegments, 1u);
   EXPECT_EQ(Stats.LiveRecords, 0u);
-  EXPECT_EQ(Stats.Compactions, 1u);
   struct stat St;
   EXPECT_NE(::stat(Segment.c_str(), &St), 0); // Stale file reclaimed.
+
+  // Nothing stale is left for the next open to skip.
+  Store.reset();
+  Store = openOrDie(Dir.path());
+  EXPECT_EQ(Store->stats().StaleSegments, 0u);
 }
 
-TEST(DiskCertStoreTest, AutoCompactThresholdGatesTheTrigger) {
-  // Open compacts once dead bytes pass half the directory. Of three
-  // equal records in one segment, one corrupt record (plus the segment
-  // header) stays under that line and two cross it — and the live
-  // records survive either way.
+TEST(DiskCertStoreTest, UnopenableSegmentIsLeftForTheNextOpen) {
+  // Only a header the scan read and rejected proves a segment stale. One
+  // it could not open (here a dangling symlink) may be a transient
+  // failure, so it is skipped, not unlinked.
+  TempStoreDir Dir;
   Dataset Train = figure2Dataset();
   Verifier V(Train);
-  std::vector<float> Queries = {1.5f, 9.5f, 12.5f};
-  std::vector<Certificate> Expected;
-  auto SeedAndCorrupt = [&](const std::string &Dir,
-                            const std::vector<size_t> &Corrupt) {
-    Expected = seedStore(Dir, V, Queries);
-    std::string Segment = Dir + "/seg-000001.antcert";
-    std::vector<uint8_t> Bytes = readFileBytes(Segment);
-    std::vector<RecordSpan> Spans = parseRecordSpans(Bytes);
-    ASSERT_EQ(Spans.size(), 3u);
-    for (size_t I : Corrupt)
-      Bytes[Spans[I].Offset + 16 + 5] ^= 0xFF;
-    writeFileBytes(Segment, Bytes);
-  };
+  std::vector<Certificate> Expected = seedStore(Dir.path(), V, {9.5f});
+  std::string Dangling = Dir.sub("seg-000000.antcert");
+  ASSERT_EQ(::symlink(Dir.sub("missing").c_str(), Dangling.c_str()), 0);
 
-  {
-    TempStoreDir Dir;
-    SeedAndCorrupt(Dir.path(), {1}); // About 1/3 dead: no trigger.
+  VerifierConfig Config = makeConfig(AbstractDomainKind::Box);
+  for (int Open = 0; Open < 2; ++Open) {
     std::unique_ptr<DiskCertStore> Store = openOrDie(Dir.path());
-    EXPECT_EQ(Store->stats().Compactions, 0u);
-    EXPECT_EQ(Store->stats().CorruptSkipped, 1u);
-    EXPECT_EQ(Store->stats().LiveRecords, 2u);
-  }
-  {
-    TempStoreDir Dir;
-    SeedAndCorrupt(Dir.path(), {0, 1}); // About 2/3 dead: triggers.
-    std::unique_ptr<DiskCertStore> Store = openOrDie(Dir.path());
-    StoreStats Stats = Store->stats();
-    EXPECT_EQ(Stats.Compactions, 1u);
-    EXPECT_EQ(Stats.LiveRecords, 1u);
-    EXPECT_EQ(Stats.Segments, 1u);
-
-    // The survivor still serves, byte-identical, from the compacted
-    // segment — through this handle and a cold reopen, which finds
-    // nothing left to compact.
-    VerifierConfig Config = makeConfig(AbstractDomainKind::Box);
-    const float X2[] = {Queries[2]};
-    Certificate Out;
-    ASSERT_TRUE(Store->lookup(V.fingerprint(), X2, 1, 1, Config, Out));
-    expectIdenticalCertificates(Expected[2], Out);
-    Store.reset();
-    Store = openOrDie(Dir.path());
-    EXPECT_EQ(Store->stats().Compactions, 0u);
+    EXPECT_EQ(Store->stats().StaleSegments, 1u);
     EXPECT_EQ(Store->stats().LiveRecords, 1u);
-    ASSERT_TRUE(Store->lookup(V.fingerprint(), X2, 1, 1, Config, Out));
-    expectIdenticalCertificates(Expected[2], Out);
+    struct stat St;
+    EXPECT_EQ(::lstat(Dangling.c_str(), &St), 0) << "open " << Open;
+    const float X[] = {9.5f};
+    Certificate Out;
+    ASSERT_TRUE(Store->lookup(V.fingerprint(), X, 1, 1, Config, Out));
+    expectIdenticalCertificates(Expected[0], Out);
   }
 }
 
-TEST(DiskCertStoreTest, CompactionDropsDuplicatesAndStaleSegments) {
+TEST(DiskCertStoreTest, OpenUnlinksClosedSegmentsWithNoIndexedRecord) {
+  // One record per segment, and the records of the two oldest corrupted:
+  // those closed segments can never serve again and go at open. The
+  // newest segment — the one appends continue — is kept even when it
+  // serves nothing, and the survivors serve byte-identically.
+  TempStoreDir Dir;
+  Dataset Train = figure2Dataset();
+  Verifier V(Train);
+  DiskCertStoreOptions Tiny;
+  Tiny.MaxSegmentBytes = 1;
+  std::vector<float> Queries = {1.5f, 4.5f, 9.5f, 12.5f};
+  std::vector<Certificate> Expected = seedStore(Dir.path(), V, Queries, Tiny);
+  for (const char *Id : {"1", "2", "4"}) {
+    std::string Segment = Dir.sub(std::string("seg-00000") + Id + ".antcert");
+    std::vector<uint8_t> Bytes = readFileBytes(Segment);
+    std::vector<RecordSpan> Spans = parseRecordSpans(Bytes);
+    ASSERT_EQ(Spans.size(), 1u);
+    Bytes[Spans[0].Offset + 16 + 5] ^= 0xFF;
+    writeFileBytes(Segment, Bytes);
+  }
+
+  std::unique_ptr<DiskCertStore> Store = openOrDie(Dir.path());
+  StoreStats Stats = Store->stats();
+  EXPECT_EQ(Stats.CorruptSkipped, 3u);
+  EXPECT_EQ(Stats.StaleSegments, 0u);
+  EXPECT_EQ(Stats.LiveRecords, 1u);
+  EXPECT_EQ(Stats.Segments, 2u);
+  struct stat St;
+  EXPECT_NE(::stat(Dir.sub("seg-000001.antcert").c_str(), &St), 0);
+  EXPECT_NE(::stat(Dir.sub("seg-000002.antcert").c_str(), &St), 0);
+  EXPECT_EQ(::stat(Dir.sub("seg-000003.antcert").c_str(), &St), 0);
+  EXPECT_EQ(::stat(Dir.sub("seg-000004.antcert").c_str(), &St), 0);
+
+  VerifierConfig Config = makeConfig(AbstractDomainKind::Box);
+  const float X2[] = {Queries[2]};
+  Certificate Out;
+  ASSERT_TRUE(Store->lookup(V.fingerprint(), X2, 1, 1, Config, Out));
+  expectIdenticalCertificates(Expected[2], Out);
+
+  // A cold reopen finds the same survivors and nothing more to unlink.
+  Store.reset();
+  Store = openOrDie(Dir.path());
+  EXPECT_EQ(Store->stats().LiveRecords, 1u);
+  EXPECT_EQ(Store->stats().Segments, 2u);
+  EXPECT_EQ(Store->stats().CorruptSkipped, 1u);
+  ASSERT_TRUE(Store->lookup(V.fingerprint(), X2, 1, 1, Config, Out));
+  expectIdenticalCertificates(Expected[2], Out);
+}
+
+TEST(DiskCertStoreTest, PlantedDuplicateIsIndexedOnce) {
   TempStoreDir Dir;
   Dataset Train = figure2Dataset();
   Verifier V(Train);
@@ -628,7 +646,7 @@ TEST(DiskCertStoreTest, CompactionDropsDuplicatesAndStaleSegments) {
 
   // The owning handle never appends a duplicate (it declines keys it
   // has indexed), so plant one at the byte level: a valid, checksummed
-  // record for a key that is already indexed.
+  // copy of the first record, appended after the second.
   std::unique_ptr<DiskCertStore> A = openOrDie(Dir.path());
   Config.Cache = A.get();
   Certificate Cold = V.verify(X, 1, Config);
@@ -646,33 +664,23 @@ TEST(DiskCertStoreTest, CompactionDropsDuplicatesAndStaleSegments) {
     writeFileBytes(Segment, Bytes);
   }
 
+  // The first copy wins; the second occupies file bytes but is neither
+  // indexed nor counted live.
   std::unique_ptr<DiskCertStore> Store = openOrDie(Dir.path());
-  EXPECT_EQ(Store->stats().DuplicateRecords, 1u);
-  EXPECT_EQ(Store->stats().LiveRecords, 2u);
-  // The duplicate occupies file bytes without being indexed; compaction
-  // must shrink the *files* (LiveBytes never counted it).
-  uint64_t FileBytesBefore =
-      readFileBytes(Dir.sub("seg-000001.antcert")).size();
-
-  std::string Error;
-  ASSERT_TRUE(Store->compact(&Error)) << Error;
   StoreStats Stats = Store->stats();
-  EXPECT_EQ(Stats.Compactions, 1u);
-  EXPECT_EQ(Stats.CompactionRecordsDropped, 1u);
+  EXPECT_EQ(Stats.DuplicateRecords, 1u);
   EXPECT_EQ(Stats.LiveRecords, 2u);
-  EXPECT_EQ(Stats.Segments, 1u);
-  EXPECT_EQ(Stats.DuplicateRecords, 0u);
-  EXPECT_LT(readFileBytes(Dir.sub("seg-000002.antcert")).size(),
-            FileBytesBefore);
-
-  // Still serving, still byte-identical — through this handle and a
-  // fresh open.
+  EXPECT_EQ(Stats.CorruptSkipped, 0u);
   Config.Cache = Store.get();
   expectIdenticalCertificates(Cold, V.verify(X, 1, Config));
+  EXPECT_EQ(Store->stats().Hits, 1u);
+  EXPECT_EQ(Store->stats().Stores, 0u);
+
+  // Still the first copy, byte-identical, after a reopen.
   Store.reset();
   Store = openOrDie(Dir.path());
+  EXPECT_EQ(Store->stats().DuplicateRecords, 1u);
   EXPECT_EQ(Store->stats().LiveRecords, 2u);
-  EXPECT_EQ(Store->stats().DuplicateRecords, 0u);
   Config.Cache = Store.get();
   expectIdenticalCertificates(Cold, V.verify(X, 1, Config));
 }
@@ -693,19 +701,47 @@ TEST(DiskCertStoreTest, SegmentsRotateUnderMaxSegmentBytes) {
   EXPECT_EQ(Store->stats().Segments, 3u);
   EXPECT_EQ(Store->stats().LiveRecords, 3u);
 
-  // A reopen sees all segments; compaction folds them into one.
+  // A reopen sees all segments and serves from the older ones.
   Store.reset();
   Store = openOrDie(Dir.path(), Options);
   EXPECT_EQ(Store->stats().Segments, 3u);
-  EXPECT_EQ(Store->stats().LiveRecords, 3u);
-  std::string Error;
-  ASSERT_TRUE(Store->compact(&Error)) << Error;
-  EXPECT_EQ(Store->stats().Segments, 1u);
   EXPECT_EQ(Store->stats().LiveRecords, 3u);
   Config.Cache = Store.get();
   const float X[] = {9.5f};
   V.verify(X, 1, Config);
   EXPECT_EQ(Store->stats().Hits, 1u);
+}
+
+TEST(DiskCertStoreTest, FailedAppendIsCountedAsDeclined) {
+  // A store that stops persisting must show it: the second append needs
+  // a new segment, and a directory squats on that segment's name.
+  TempStoreDir Dir;
+  DiskCertStoreOptions Options;
+  Options.MaxSegmentBytes = 1;
+  std::unique_ptr<DiskCertStore> Store = openOrDie(Dir.path(), Options);
+  VerifierConfig Config = makeConfig(AbstractDomainKind::Disjuncts);
+  DatasetFingerprint FP;
+  FP.Hi = 0x1234;
+  FP.Lo = 0x5678;
+  Certificate Cert;
+  Cert.Kind = VerdictKind::Robust;
+  Cert.PoisoningBudget = 1;
+  Cert.CertifiedRadius = 1;
+  const float X[] = {1.0f}, Y[] = {2.0f};
+  Store->store(FP, X, 1, 1, Config, Cert);
+  ASSERT_EQ(::mkdir(Dir.sub("seg-000002.antcert").c_str(), 0755), 0);
+  Store->store(FP, Y, 1, 1, Config, Cert);
+  ::rmdir(Dir.sub("seg-000002.antcert").c_str());
+
+  StoreStats Stats = Store->stats();
+  EXPECT_EQ(Stats.Stores, 1u);
+  EXPECT_EQ(Stats.Declined, 1u);
+  EXPECT_EQ(Stats.LiveRecords, 1u);
+  EXPECT_NE(Stats.summary().find("declined=1 "), std::string::npos)
+      << Stats.summary();
+  Certificate Out;
+  EXPECT_TRUE(Store->lookup(FP, X, 1, 1, Config, Out));
+  EXPECT_FALSE(Store->lookup(FP, Y, 1, 1, Config, Out));
 }
 
 TEST(DiskCertStoreTest, UnwritableDirectoryFailsOpenWithClearError) {
@@ -955,31 +991,39 @@ TEST(DiskStoreRangeTest, UnknownServesWiderBudgetAcrossRestart) {
   EXPECT_FALSE(Store->lookup(FP, X, 1, 1, Config, Out));
 }
 
-TEST(DiskStoreRangeTest, CompactionRebuildsTheRangeIndex) {
+TEST(DiskStoreRangeTest, RetentionEvictionDropsRangeEntries) {
+  // One record per segment (~152 bytes with its header), room for two.
   TempStoreDir Dir;
+  DiskCertStoreOptions Options;
+  Options.MaxSegmentBytes = 160;
+  Options.RetentionBytes = 320;
   VerifierConfig Config = makeConfig(AbstractDomainKind::Disjuncts);
   DatasetFingerprint FP = someFingerprint();
-  const float X[] = {1.0f};
-  std::unique_ptr<DiskCertStore> Store = openOrDie(Dir.path());
+  const float X[] = {1.0f}, Z[] = {2.0f};
+  std::unique_ptr<DiskCertStore> Store = openOrDie(Dir.path(), Options);
   Store->store(FP, X, 1, 5, Config, makeProof(VerdictKind::Robust, 5));
   Store->store(FP, X, 1, 8, Config, makeProof(VerdictKind::Unknown, 8));
-
-  std::string Error;
-  ASSERT_TRUE(Store->compact(&Error)) << Error;
-
   Certificate Out;
   ASSERT_TRUE(Store->lookup(FP, X, 1, 3, Config, Out));
-  EXPECT_EQ(Out.Kind, VerdictKind::Robust);
   EXPECT_EQ(Out.CertifiedRadius, 5u);
+
+  // A third segment pushes the oldest — the radius-5 proof — out. Its
+  // range entry must go with it: the narrower budget now misses, while
+  // the surviving Unknown still answers wider budgets.
+  Store->store(FP, Z, 1, 1, Config, makeProof(VerdictKind::Robust, 1));
+  ASSERT_EQ(Store->stats().RetentionEvictedSegments, 1u);
+  EXPECT_FALSE(Store->lookup(FP, X, 1, 3, Config, Out));
   ASSERT_TRUE(Store->lookup(FP, X, 1, 9, Config, Out));
   EXPECT_EQ(Out.Kind, VerdictKind::Unknown);
   EXPECT_EQ(Out.CertifiedRadius, 8u);
 
-  // And again from a cold open of the compacted directory.
+  // And the same from a cold open of the evicted directory.
   Store.reset();
-  std::unique_ptr<DiskCertStore> Reopened = openOrDie(Dir.path());
-  ASSERT_TRUE(Reopened->lookup(FP, X, 1, 3, Config, Out));
-  EXPECT_EQ(Out.CertifiedRadius, 5u);
+  Store = openOrDie(Dir.path(), Options);
+  EXPECT_EQ(Store->stats().LiveRecords, 2u);
+  EXPECT_FALSE(Store->lookup(FP, X, 1, 3, Config, Out));
+  ASSERT_TRUE(Store->lookup(FP, X, 1, 9, Config, Out));
+  EXPECT_EQ(Out.CertifiedRadius, 8u);
 }
 
 TEST(DiskStoreRangeTest, OffBudgetRecordServesExactOnly) {

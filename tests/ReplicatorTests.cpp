@@ -4,13 +4,13 @@
 // in Decision Trees" (Drews, Albarghouthi, D'Antoni; PLDI 2020).
 //
 // The replication pipeline end to end over a real socket: a replica
-// pulls byte-identical certificates, replays are idempotent, a source
-// compaction resumes the cursor in the compacted segment (its replays
-// counted as duplicates), retention leaves a cursor in a surviving
-// segment alone, and — the soundness half — a delta corrupted at
-// *every* byte offset is skipped, never applied as a wrong certificate,
-// and a cursor at *every* byte offset either names a record boundary or
-// rewinds to the segment start. Torn poll frames (cut at every byte
+// pulls byte-identical certificates, replays are idempotent, a cursor
+// whose segment retention evicted resumes at the next live segment with
+// nothing lost, retention leaves a cursor in a surviving segment alone,
+// and — the soundness half — a delta corrupted at *every* byte offset
+// is skipped, never applied as a wrong certificate, and a cursor at
+// *every* byte offset either names a record boundary or rewinds to the
+// segment start. Torn poll frames (cut at every byte
 // offset via tests/NetHarness) cost the source one connection, never
 // the process.
 //
@@ -203,10 +203,16 @@ TEST(ReplicatorTest, ReplayedDeltasAreIdempotent) {
   EXPECT_EQ(Replica->stats().LiveRecords, RecordsBefore);
 }
 
-TEST(ReplicatorTest, CompactionEpochBumpForcesFullResync) {
-  SourceStack Source;
-  Source.seed(1.5f);
-  Source.seed(9.5f);
+TEST(ReplicatorTest, EvictedCursorSegmentResumesAtTheNextLiveOne) {
+  // One record per segment (a record plus the segment header is ~152
+  // bytes), room for two segments in the byte budget.
+  DiskCertStoreOptions Options;
+  Options.MaxSegmentBytes = 160;
+  Options.RetentionBytes = 320;
+  SourceStack Source(Options);
+  std::vector<float> Queries = {1.5f, 4.5f, 9.5f};
+  std::vector<Certificate> Seeded;
+  Seeded.push_back(Source.seed(Queries[0]));
 
   TempStoreDir ReplicaDir;
   std::unique_ptr<DiskCertStore> Replica = openOrDie(ReplicaDir.path());
@@ -214,29 +220,31 @@ TEST(ReplicatorTest, CompactionEpochBumpForcesFullResync) {
   Config.Port = Source.port();
   Replicator Repl(*Replica, Config);
   catchUp(Repl);
-  ASSERT_EQ(Repl.stats().Applied, 2u);
+  ASSERT_EQ(Repl.stats().Applied, 1u);
 
-  // Compaction rewrites the survivors into a fresh segment and deletes
-  // the one the replica's cursor names; a record appended after it
-  // lands in the fresh segment too.
-  std::string Error;
-  ASSERT_TRUE(Source.Disk->compact(&Error)) << Error;
-  Source.seed(12.5f);
+  // The cursor sits at the end of segment 1. Two more segments push the
+  // directory over budget, and retention evicts segment 1 — the cursor's
+  // — while segments 2 and 3 stay live.
+  Seeded.push_back(Source.seed(Queries[1]));
+  Seeded.push_back(Source.seed(Queries[2]));
+  ASSERT_EQ(Source.Disk->stats().RetentionEvictedSegments, 1u);
+  ASSERT_EQ(Source.Disk->stats().Segments, 2u);
 
-  // The cursor resumes at the first record of the compacted segment: a
-  // full resync whose replays are declined as duplicates while the new
-  // record applies.
+  // The cursor resumes at the first record of segment 2: both new
+  // records apply, nothing replays, nothing is lost.
   catchUp(Repl);
   ReplicatorStats Stats = Repl.stats();
   EXPECT_EQ(Stats.Applied, 3u);
-  EXPECT_EQ(Stats.Duplicates, 2u);
+  EXPECT_EQ(Stats.Duplicates, 0u);
   EXPECT_EQ(Stats.Corrupt, 0u);
   EXPECT_EQ(Replica->stats().LiveRecords, 3u);
-
-  const float X[] = {12.5f};
-  Certificate Out;
   VerifierConfig Probe = makeConfig();
-  EXPECT_TRUE(Replica->lookup(Source.V.fingerprint(), X, 1, 1, Probe, Out));
+  for (size_t I = 0; I < Queries.size(); ++I) {
+    const float X[] = {Queries[I]};
+    Certificate Out;
+    ASSERT_TRUE(Replica->lookup(Source.V.fingerprint(), X, 1, 1, Probe, Out));
+    expectIdenticalCertificates(Seeded[I], Out);
+  }
 }
 
 TEST(ReplicatorTest, RetentionLeavesACursorInASurvivingSegmentAlone) {
