@@ -10,6 +10,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cstring>
 
 using namespace antidote;
 
@@ -27,6 +28,48 @@ const char *antidote::domainKindName(AbstractDomainKind Kind) {
 }
 
 namespace {
+
+/// The murmur3 64-bit finalizer: every input bit reaches every output bit.
+uint64_t fmix64(uint64_t X) {
+  X ^= X >> 33;
+  X *= 0xff51afd7ed558ccdULL;
+  X ^= X >> 33;
+  X *= 0xc4ceb9fe1a85ec53ULL;
+  X ^= X >> 33;
+  return X;
+}
+
+/// Hash of an element's (budget, rows): a sum of independently mixed row
+/// ids (one multiply and one xor-shift each), finalized with the budget
+/// and size. The row terms carry no dependency on one another, so the
+/// loop runs at the speed of reading the rows rather than at a serial
+/// chain's latency. Equal elements hash equal; the rare unequal pair that
+/// collides is told apart by the full comparison behind every match.
+uint64_t frontierHash(const AbstractDataset &D) {
+  uint64_t Sum = 0;
+  for (uint32_t Row : D.rows()) {
+    const uint64_t X = uint64_t(Row) * 0x9e3779b97f4a7c15ULL;
+    Sum += X ^ (X >> 29);
+  }
+  return fmix64(Sum ^ ((uint64_t(D.budget()) << 32) | D.size()));
+}
+
+/// `A.rows() < B.rows()` (lexicographic, a proper prefix first), skipping
+/// the long equal prefixes sorted neighbours share 16 rows at a time.
+bool rowsLess(const RowIndexList &A, const RowIndexList &B) {
+  constexpr size_t Block = 16;
+  const size_t Common = std::min(A.size(), B.size());
+  const uint32_t *PA = A.data();
+  const uint32_t *PB = B.data();
+  size_t I = 0;
+  while (I + Block <= Common &&
+         std::memcmp(PA + I, PB + I, Block * sizeof(uint32_t)) == 0)
+    I += Block;
+  for (; I < Common; ++I)
+    if (PA[I] != PB[I])
+      return PA[I] < PB[I];
+  return A.size() < B.size();
+}
 
 /// Mutable run state threaded through the driver helpers.
 ///
@@ -154,6 +197,50 @@ LearnerRun::transferStep(const AbstractDataset &Cur) const {
   return Out;
 }
 
+void antidote::dedupeFrontier(std::vector<AbstractDataset> &Frontier) {
+  const size_t N = Frontier.size();
+  if (N < 2)
+    return;
+  // Open-addressed index set over the kept prefix Frontier[0, Kept): each
+  // slot holds a kept position, or Empty; at most half full. Both scratch
+  // vectors die on return, so none of it stays alive into the next depth.
+  constexpr uint32_t Empty = UINT32_MAX;
+  size_t Slots = 4;
+  while (Slots < 2 * N)
+    Slots *= 2;
+  const size_t Mask = Slots - 1;
+  std::vector<uint32_t> Table(Slots, Empty);
+  std::vector<uint64_t> Hashes(N);
+  size_t Kept = 0;
+  for (size_t I = 0; I < N; ++I) {
+    const uint64_t H = frontierHash(Frontier[I]);
+    size_t Slot = H & Mask;
+    bool Duplicate = false;
+    for (; Table[Slot] != Empty; Slot = (Slot + 1) & Mask) {
+      const uint32_t J = Table[Slot];
+      if (Hashes[J] == H && Frontier[J] == Frontier[I]) {
+        Duplicate = true;
+        break;
+      }
+    }
+    if (Duplicate)
+      continue;
+    Table[Slot] = static_cast<uint32_t>(Kept);
+    Hashes[Kept] = H;
+    if (Kept != I)
+      Frontier[Kept] = std::move(Frontier[I]);
+    ++Kept;
+  }
+  Frontier.erase(Frontier.begin() + Kept, Frontier.end());
+
+  std::sort(Frontier.begin(), Frontier.end(),
+            [](const AbstractDataset &A, const AbstractDataset &B) {
+              if (A.budget() != B.budget())
+                return A.budget() < B.budget();
+              return rowsLess(A.rows(), B.rows());
+            });
+}
+
 AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
   assert(!Initial.isEmptySet() && "DTrace# needs a non-empty abstract set");
   assert(Model.supportsDomain(Config.Domain) &&
@@ -207,10 +294,11 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
         for (AbstractDataset &Terminal : Step.Terminals)
           addTerminal(std::move(Terminal));
         Result.BestSplitCalls += Step.CalledBestSplit;
-        for (AbstractDataset &Child : Step.Children) {
+        for (const AbstractDataset &Child : Step.Children)
           FrontierBytes += Child.stateBytes();
-          Next.push_back(std::move(Child));
-        }
+        // One range insert grows Next once from the step's child count.
+        Next.insert(Next.end(), std::make_move_iterator(Step.Children.begin()),
+                    std::make_move_iterator(Step.Children.end()));
         // Release the merged step's buffers now rather than at the end
         // of the iteration: with huge frontiers, Count moved-from shells
         // would otherwise accumulate alongside the live Next.
@@ -223,15 +311,7 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
       break;
 
     if (Config.Domain != AbstractDomainKind::Box) {
-      // Deduplicate structurally identical disjuncts; tied predicates often
-      // induce the same restriction.
-      std::sort(Next.begin(), Next.end(),
-                [](const AbstractDataset &A, const AbstractDataset &B) {
-                  if (A.budget() != B.budget())
-                    return A.budget() < B.budget();
-                  return A.rows() < B.rows();
-                });
-      Next.erase(std::unique(Next.begin(), Next.end()), Next.end());
+      dedupeFrontier(Next);
 
       if (Config.Domain == AbstractDomainKind::DisjunctsCapped &&
           Config.DisjunctCap > 0) {

@@ -41,7 +41,10 @@
 /// writer of the domination tracker, the dedup/overflow-join, and every
 /// resource counter — that folds the per-disjunct results in disjunct-
 /// index order. Each transfer step runs `bestSplit#` serially on its
-/// executor. Because every merge replays exactly the serial order, the
+/// executor. Between depths `dedupeFrontier` drops duplicate disjuncts by
+/// hash and sorts the rest into the fixed (budget, rows) order that the
+/// capped joins and the next depth's emission order depend on. Because
+/// every merge replays exactly the serial order, the
 /// result (terminals, certificates, `PeakDisjuncts`, `PeakStateBytes`,
 /// `BestSplitCalls`) is bit-identical for every pool size in
 /// all three domains; only wall-clock time changes.
@@ -153,6 +156,29 @@ struct AbstractLearnerResult {
   unsigned BestSplitCalls = 0;
   double Seconds = 0.0;
 };
+
+/// Removes structurally identical disjuncts (same budget, same rows) from
+/// \p Frontier and sorts the survivors by (budget, rows), rows compared
+/// lexicographically with a shorter prefix first — the disjunctive
+/// domains' per-depth dedupe.
+///
+/// Tied predicates often induce the same restriction, so about half of a
+/// depth's children are copies. The duplicates go first, by hash-consing
+/// (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006): each
+/// element is hashed once from its budget, size and a sum of independently
+/// mixed row ids, and an index hash set keeps the first copy of every
+/// (hash, `==`) class. A hash match counts only after a full comparison.
+/// Which copy survives does not matter: the copies are equal element by
+/// element and every child `restrict#` builds holds its rows at exact
+/// capacity, so they also charge identical `stateBytes()`.
+///
+/// The survivors are then sorted by exactly the key the learner has always
+/// used (the comparison skips equal 16-row blocks with memcmp). The order
+/// is part of the result, not a convenience: `DisjunctsCapped` joins
+/// *adjacent* disjuncts, and the next depth's emission order fixes the
+/// terminal order and the points where a refutation or budget stops the
+/// run. The output equals `std::sort` + `std::unique` under that key.
+void dedupeFrontier(std::vector<AbstractDataset> &Frontier);
 
 /// Runs DTrace#(⟨T,n⟩, x). \p Initial must be a non-empty abstract set over
 /// `Ctx.base()`.

@@ -23,6 +23,18 @@ AbstractDataset::AbstractDataset(const Dataset &Base, RowIndexList Rows,
   Counts = classCounts(Base, this->Rows);
 }
 
+AbstractDataset::AbstractDataset(const Dataset &Base, RowIndexList Rows,
+                                 uint32_t Budget, std::vector<uint32_t> Counts)
+    : Base(&Base), Rows(std::move(Rows)),
+      Budget(std::min<uint32_t>(Budget,
+                                static_cast<uint32_t>(this->Rows.size()))),
+      Counts(std::move(Counts)) {
+  assert(isCanonicalRowSet(this->Rows) && "rows must be sorted and unique");
+  assert(this->Counts == classCounts(Base, this->Rows) &&
+         this->Counts.capacity() == Base.numClasses() &&
+         "counts must be the rows' exact per-class counts");
+}
+
 AbstractDataset AbstractDataset::entire(const Dataset &Base,
                                         uint32_t Budget) {
   return AbstractDataset(Base, allRows(Base), Budget);
@@ -82,15 +94,19 @@ AbstractDataset AbstractDataset::restrict(const SplitPredicate &Pred,
   // Kernel shape: the three-valued evaluation over one feature unfolds into
   // two comparisons against the predicate's column slice (True ⇔ V ≤ lo,
   // Maybe ⇔ lo < V < hi), and the kept rows compact through an always-write
-  // cursor — no data-dependent branch in either loop. The scratch keeps the
-  // copied-out row vector at exact capacity, which the stateBytes() memory
-  // accounting depends on.
+  // cursor — no data-dependent branch in either loop. The same pass adds
+  // each kept row to its class's count, so the child never rescans its
+  // rows for `counts()`. The scratch keeps the copied-out row vector at
+  // exact capacity, which the stateBytes() memory accounting depends on.
   const float *Col = Base->column(Pred.feature());
+  const uint32_t *Labels = Base->labels();
   const double PredLo = Pred.lo();
   const double PredHi = Pred.hi();
   thread_local std::vector<uint32_t> Scratch;
   Scratch.resize(Rows.size());
   uint32_t *Out = Scratch.data();
+  std::vector<uint32_t> KeptCounts(Base->numClasses(), 0);
+  uint32_t *Cnt = KeptCounts.data();
   size_t N = 0;
   uint32_t Definite = 0;
   if (Positive) {
@@ -100,6 +116,7 @@ AbstractDataset AbstractDataset::restrict(const SplitPredicate &Pred,
       const bool LtHi = V < PredHi;
       Out[N] = Row;
       N += LeLo | LtHi;
+      Cnt[Labels[Row]] += LeLo | LtHi;
       Definite += LeLo;
     }
   } else {
@@ -109,6 +126,7 @@ AbstractDataset AbstractDataset::restrict(const SplitPredicate &Pred,
       const bool LtHi = V < PredHi;
       Out[N] = Row;
       N += !LeLo;
+      Cnt[Labels[Row]] += !LeLo;
       Definite += !(LeLo | LtHi);
     }
   }
@@ -117,7 +135,8 @@ AbstractDataset AbstractDataset::restrict(const SplitPredicate &Pred,
   uint32_t NewBudget =
       std::max(std::min(Budget, PossibleSize),
                (PossibleSize - Definite) + std::min(Budget, Definite));
-  return AbstractDataset(*Base, std::move(Possible), NewBudget);
+  return AbstractDataset(*Base, std::move(Possible), NewBudget,
+                         std::move(KeptCounts));
 }
 
 std::optional<AbstractDataset>
@@ -133,7 +152,10 @@ AbstractDataset::restrictToPureClass(unsigned Class) const {
   for (uint32_t Row : Rows)
     if (Labels[Row] == Class)
       Pure.push_back(Row);
-  return AbstractDataset(*Base, std::move(Pure), Budget - Drop);
+  std::vector<uint32_t> PureCounts(Base->numClasses(), 0);
+  PureCounts[Class] = Keep;
+  return AbstractDataset(*Base, std::move(Pure), Budget - Drop,
+                         std::move(PureCounts));
 }
 
 std::string AbstractDataset::str() const {

@@ -24,6 +24,9 @@
 ///
 /// Elements hold a sorted row-index view into an immutable base dataset
 /// plus cached class counts, so all of the above are linear merges.
+/// `restrict#` counts the classes of the rows it keeps in the same pass
+/// that compacts them, so the frontier's hottest constructor never
+/// rescans its rows.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -124,6 +127,12 @@ public:
   std::string str() const;
 
 private:
+  /// Adopts \p Counts, the per-class counts of \p Rows, instead of
+  /// recounting them. \p Counts must hold exactly `numClasses()` entries
+  /// at exact capacity (stateBytes() charges the capacity).
+  AbstractDataset(const Dataset &Base, RowIndexList Rows, uint32_t Budget,
+                  std::vector<uint32_t> Counts);
+
   const Dataset *Base;
   RowIndexList Rows;
   uint32_t Budget;

@@ -12,6 +12,7 @@
 #include "concrete/DTrace.h"
 
 #include <gtest/gtest.h>
+#include <algorithm>
 
 using namespace antidote;
 using namespace antidote::testutil;
@@ -383,6 +384,103 @@ TEST(DomainPrecisionTest, VerifiedRobustnessIsMonotoneInBudget) {
         PrevProven = Proven;
         Prev = Result.DominatingClass;
       }
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The frontier dedupe
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The sorted rows of [Lo, Hi) kept with probability \p P.
+RowIndexList randomRowRange(Rng &R, uint32_t Lo, uint32_t Hi, double P) {
+  RowIndexList Rows;
+  for (uint32_t Row = Lo; Row < Hi; ++Row)
+    if (R.bernoulli(P))
+      Rows.push_back(Row);
+  return Rows;
+}
+
+/// The dedupe the learner used before hashing: sort by (budget, rows),
+/// then drop adjacent equals.
+std::vector<AbstractDataset>
+referenceDedupe(std::vector<AbstractDataset> Frontier) {
+  std::sort(Frontier.begin(), Frontier.end(),
+            [](const AbstractDataset &A, const AbstractDataset &B) {
+              if (A.budget() != B.budget())
+                return A.budget() < B.budget();
+              return A.rows() < B.rows();
+            });
+  Frontier.erase(std::unique(Frontier.begin(), Frontier.end()),
+                 Frontier.end());
+  return Frontier;
+}
+
+} // namespace
+
+TEST(DedupeFrontierPropertyTest, MatchesSortUniqueElementByElement) {
+  // Random frontiers built to hit every branch of the comparison: heavy
+  // duplication, row lists sharing prefixes longer than the 16-row block
+  // (so the memcmp skip runs, and stops inside a block), row lists that
+  // are proper prefixes of others, and equal rows at different budgets.
+  RandomDatasetSpec Spec;
+  Spec.MinRows = 200;
+  Spec.MaxRows = 200;
+  Spec.NumClasses = 3;
+  Rng R(20200615);
+  Dataset Data = makeRandomDataset(R, Spec);
+  for (int Trial = 0; Trial < 300; ++Trial) {
+    // Rows [0, 100) feed the shared prefixes, [100, 200) the tails.
+    RowIndexList Prefix = randomRowRange(R, 0, 100, 0.2 + 0.6 * R.uniform());
+    std::vector<AbstractDataset> Pool;
+    size_t PoolSize = 1 + R.uniformInt(12);
+    while (Pool.size() < PoolSize) {
+      const AbstractDataset *Other =
+          Pool.empty() ? nullptr : &Pool[R.uniformInt(Pool.size())];
+      RowIndexList Rows = [&]() -> RowIndexList {
+        switch (Other ? R.uniformInt(4) : 0) {
+        case 0: {
+          // The shared prefix plus a random tail.
+          RowIndexList Rows(Prefix);
+          RowIndexList Tail = randomRowRange(R, 100, 200, R.uniform());
+          Rows.insert(Rows.end(), Tail.begin(), Tail.end());
+          return Rows;
+        }
+        case 1:
+          // A proper prefix of an existing row list.
+          return RowIndexList(Other->rows().begin(),
+                              Other->rows().begin() +
+                                  R.uniformInt(Other->size() + 1));
+        case 2:
+          // An existing row list, at its own random budget below.
+          return Other->rows();
+        default:
+          return randomRowRange(R, 0, 200, R.uniform());
+        }
+      }();
+      uint32_t Budget =
+          static_cast<uint32_t>(R.uniformInt(Rows.size() + 1));
+      Pool.emplace_back(Data, std::move(Rows), Budget);
+    }
+    std::vector<AbstractDataset> Frontier;
+    size_t Count = R.uniformInt(4 * PoolSize + 2);
+    for (size_t I = 0; I < Count; ++I)
+      Frontier.push_back(Pool[R.uniformInt(PoolSize)]);
+
+    std::vector<AbstractDataset> Expected = referenceDedupe(Frontier);
+    dedupeFrontier(Frontier);
+    ASSERT_EQ(Frontier.size(), Expected.size()) << "trial " << Trial;
+    for (size_t I = 0; I < Expected.size(); ++I) {
+      EXPECT_EQ(Frontier[I].rows(), Expected[I].rows())
+          << "trial " << Trial << ", element " << I;
+      EXPECT_EQ(Frontier[I].budget(), Expected[I].budget())
+          << "trial " << Trial << ", element " << I;
+      EXPECT_EQ(Frontier[I].counts(), Expected[I].counts())
+          << "trial " << Trial << ", element " << I;
+      EXPECT_EQ(Frontier[I].stateBytes(), Expected[I].stateBytes())
+          << "trial " << Trial << ", element " << I;
     }
   }
 }

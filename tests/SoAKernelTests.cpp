@@ -19,7 +19,8 @@
 //    reference implementation on random inputs: the fused ent#/score#
 //    against the interval composition they replaced, the dense candidate
 //    enumeration against a fresh sort-and-walk, filterRows/restrict#
-//    against explicit three-valued predicate loops, and the slice-wise
+//    against explicit three-valued predicate loops (restrict#'s in-pass
+//    class counts against a recount), and the slice-wise
 //    interval join/meet against the scalar lattice ops.
 //
 //===----------------------------------------------------------------------===//
@@ -537,6 +538,13 @@ TEST(SoAKernelPropertyTest, RestrictMatchesNaiveThreeValuedLoop) {
       EXPECT_EQ(Restricted.rows(), Possible)
           << "trial " << Trial << " positive=" << Positive;
       EXPECT_EQ(Restricted.budget(), std::min(ExpectedBudget, PossibleSize))
+          << "trial " << Trial << " positive=" << Positive;
+      // restrict# counts classes in its compaction pass; the counts and
+      // their vector's capacity must match a fresh recount.
+      EXPECT_EQ(Restricted.counts(), classCounts(Data, Possible))
+          << "trial " << Trial << " positive=" << Positive;
+      EXPECT_EQ(Restricted.stateBytes(),
+                AbstractDataset(Data, Possible, ExpectedBudget).stateBytes())
           << "trial " << Trial << " positive=" << Positive;
     }
   }
