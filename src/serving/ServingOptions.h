@@ -6,20 +6,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one home of every serving-layer knob the front ends share:
+/// The one home of every serving-layer knob of the front end:
 /// parallelism, store composition (RAM cache / disk store / retention),
 /// the threat model, network serving, and replication. Each knob is one
 /// row of an option table carrying the flag, its `ANTIDOTE_*` env twin,
 /// the parse rule, and the help text — `parse` walks the table (env
 /// twins first, then flags, so a flag always beats its twin), and
 /// `printHelp` renders the same table, so a new knob added as one row
-/// surfaces in both front ends and their `--help` at once.
+/// surfaces in `antidote_cli`, every one of its modes and its `--help`
+/// at once.
 ///
 /// `parse` consumes the flags it recognizes and compacts the rest of
-/// argv in place, letting each front end keep its own mode flags
-/// (`--serve`, `--csv`, ...) on top. Malformed values — flag or env
-/// twin alike — are reported to stderr and fail the parse; the shared
-/// policy is that garbage never silently becomes a default.
+/// argv in place, letting the front end keep its own mode flags
+/// (`--serve`, `--sweep`, `--test`, ...) on top. Malformed values —
+/// flag or env twin alike — are reported to stderr and fail the parse;
+/// the shared policy is that garbage never silently becomes a default.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +36,7 @@
 namespace antidote {
 
 /// Every shared serving knob, defaulted; `parse` overwrites from the
-/// environment and argv. The front ends translate these into
+/// environment and argv. The front end translates these into
 /// `CertServerConfig` / `NetServerConfig` / `DiskCertStoreOptions` /
 /// `ReplicatorConfig` at wiring time.
 struct ServingOptions {
@@ -73,7 +74,7 @@ struct ServingOptions {
   bool parse(int &Argc, char **Argv);
 
   /// Renders the option table: one block of `flag / env twin / default /
-  /// description` lines, shared verbatim by every front end's --help.
+  /// description` lines, rendered verbatim in the front end's --help.
   static void printHelp(std::FILE *Out);
 };
 

@@ -95,9 +95,6 @@ public:
                          const CancellationToken *Cancel = nullptr)
       : Limits(Limits), Cancel(Cancel), Clock(Limits.TimeoutSeconds) {}
 
-  const ResourceLimits &limits() const { return Limits; }
-  double elapsedSeconds() const { return Clock.elapsedSeconds(); }
-
   /// Full budget check against the current live-state levels. Token
   /// cancellation wins over the deadline, which wins over the caps.
   BudgetOutcome check(size_t LiveDisjuncts, uint64_t LiveStateBytes) const {
@@ -115,13 +112,6 @@ public:
   /// Deadline/token-only check for loops that track no resource levels.
   bool interrupted() const {
     return (Cancel && Cancel->cancelled()) || Clock.expired();
-  }
-
-  /// The outcome an `interrupted()` stop should report.
-  BudgetOutcome interruptionReason() const {
-    if (Cancel && Cancel->cancelled())
-      return Cancel->reason();
-    return BudgetOutcome::Timeout;
   }
 
 private:
