@@ -5,7 +5,7 @@
 //
 // google-benchmark microbenchmarks for the building blocks whose costs
 // drive the Figure 7-11 curves: interval arithmetic, ⟨T,n⟩ joins and
-// restrictions, the disjunctive frontier's dedupe, cprob#/ent#, concrete
+// restrictions, the disjunctive frontier's merge, cprob#/ent#, concrete
 // and abstract bestSplit, DTrace, and end-to-end verification queries.
 //
 //===----------------------------------------------------------------------===//
@@ -20,6 +20,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -46,11 +47,12 @@ const Verifier &mammoVerifier() {
 }
 
 /// The children a depth-3 Disjuncts run on mammography (test row 86, n = 8)
-/// pushes into its last frontier, before that depth's dedupe: the
-/// learner's transfer step (pure-leaf conditional, bestSplit#, one
-/// restrict# per feasible side) replayed without budgets, with the
-/// learner's dedupe between depths. Built once; about 3.8k children, 62 %
-/// of them duplicates.
+/// emits into its last frontier, duplicates included: the learner's
+/// transfer step (pure-leaf conditional, bestSplit#, one restrict# per
+/// feasible side) replayed without budgets, with the learner's
+/// deduplicated (budget, rows) order — here `std::sort` + `std::unique` —
+/// between depths. Built once; about 3.8k children, 62 % of them
+/// duplicates.
 const std::vector<AbstractDataset> &mammoDepth3Children() {
   static const std::vector<AbstractDataset> Children = [] {
     const ThreatModel &Model = threatModel(ThreatModelKind::Removal);
@@ -60,7 +62,13 @@ const std::vector<AbstractDataset> &mammoDepth3Children() {
     std::vector<AbstractDataset> Next;
     for (unsigned Depth = 0; Depth < 3; ++Depth) {
       if (Depth > 0) {
-        dedupeFrontier(Next);
+        std::sort(Next.begin(), Next.end(),
+                  [](const AbstractDataset &A, const AbstractDataset &B) {
+                    if (A.budget() != B.budget())
+                      return A.budget() < B.budget();
+                    return A.rows() < B.rows();
+                  });
+        Next.erase(std::unique(Next.begin(), Next.end()), Next.end());
         Frontier = std::move(Next);
         Next.clear();
       }
@@ -125,23 +133,28 @@ static void BM_AbstractRestrict(benchmark::State &State) {
 }
 BENCHMARK(BM_AbstractRestrict);
 
-// One depth's dedupe of a real frontier: copy the fixed children, then
-// drop duplicates by hash and sort the survivors (the copy is part of
-// every iteration, as the learner's merge hands dedupeFrontier a fresh
-// vector each depth).
-static void BM_FrontierDedupe(benchmark::State &State) {
+// One depth's merge of a real frontier: the fixed children, packed once as
+// the transfer steps pack them, pushed through a fresh merge-time index
+// that copies out only the children it has not seen, then sorted into the
+// (budget, rows) order the next depth runs in. The merge consumes what it
+// folds, so each iteration copies the packed children first.
+static void BM_FrontierMerge(benchmark::State &State) {
   const std::vector<AbstractDataset> &Children = mammoDepth3Children();
+  FrontierChildren Packed;
+  for (const AbstractDataset &Child : Children)
+    Packed.add(Child);
   size_t Kept = 0;
   for (auto _ : State) {
-    std::vector<AbstractDataset> Frontier = Children;
-    dedupeFrontier(Frontier);
+    FrontierIndex Index(mammo().Split.Train);
+    Index.merge(FrontierChildren(Packed));
+    std::vector<AbstractDataset> Frontier = Index.takeSorted();
     Kept = Frontier.size();
     benchmark::DoNotOptimize(Frontier.data());
   }
   State.counters["children"] = static_cast<double>(Children.size());
   State.counters["kept"] = static_cast<double>(Kept);
 }
-BENCHMARK(BM_FrontierDedupe)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FrontierMerge)->Unit(benchmark::kMicrosecond);
 
 static void BM_CprobTransformer(benchmark::State &State) {
   CprobTransformerKind Kind =

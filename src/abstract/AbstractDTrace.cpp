@@ -39,20 +39,22 @@ uint64_t fmix64(uint64_t X) {
   return X;
 }
 
-/// Hash of an element's (budget, rows): a sum of independently mixed row
-/// ids (one multiply and one xor-shift each), finalized with the budget
-/// and size. The row terms carry no dependency on one another, so the
-/// loop runs at the speed of reading the rows rather than at a serial
-/// chain's latency. Equal elements hash equal; the rare unequal pair that
-/// collides is told apart by the full comparison behind every match.
-uint64_t frontierHash(const AbstractDataset &D) {
+/// Hash of a child's (budget, rows): a sum of independently mixed row ids
+/// (one multiply and one xor-shift each), finalized with the budget and
+/// size. The row terms carry no dependency on one another, so the loop
+/// runs at the speed of reading the rows rather than at a serial chain's
+/// latency. Equal children hash equal; the rare unequal pair that collides
+/// is told apart by the full comparison behind every match.
+uint64_t childHash(const uint32_t *Rows, uint32_t Size, uint32_t Budget) {
   uint64_t Sum = 0;
-  for (uint32_t Row : D.rows()) {
-    const uint64_t X = uint64_t(Row) * 0x9e3779b97f4a7c15ULL;
+  for (const uint32_t *Row = Rows, *End = Rows + Size; Row != End; ++Row) {
+    const uint64_t X = uint64_t(*Row) * 0x9e3779b97f4a7c15ULL;
     Sum += X ^ (X >> 29);
   }
-  return fmix64(Sum ^ ((uint64_t(D.budget()) << 32) | D.size()));
+  return fmix64(Sum ^ ((uint64_t(Budget) << 32) | Size));
 }
+
+constexpr uint32_t EmptySlot = UINT32_MAX;
 
 /// `A.rows() < B.rows()` (lexicographic, a proper prefix first), skipping
 /// the long equal prefixes sorted neighbours share 16 rows at a time.
@@ -97,7 +99,7 @@ private:
   struct DisjunctStep {
     std::vector<std::vector<Interval>> ForcedTerminals;
     std::vector<AbstractDataset> Terminals;
-    std::vector<AbstractDataset> Children;
+    FrontierChildren Children;
     bool CalledBestSplit = false;
   };
 
@@ -181,7 +183,7 @@ LearnerRun::transferStep(const AbstractDataset &Cur) const {
     return Out;
 
   if (Config.Domain == AbstractDomainKind::Box) {
-    Out.Children.push_back(abstractFilter(Cur, *Psi, X));
+    Out.Children.add(abstractFilter(Cur, *Psi, X));
     return Out;
   }
   // Disjunctive filter#: one disjunct per (predicate, feasible side of x).
@@ -190,55 +192,125 @@ LearnerRun::transferStep(const AbstractDataset &Cur) const {
       return Out;
     ThreeValued V = Pred.evaluate(X);
     if (V != ThreeValued::False)
-      Out.Children.push_back(Cur.restrict(Pred, /*Positive=*/true));
+      Out.Children.addRestriction(Cur, Pred, /*Positive=*/true);
     if (V != ThreeValued::True)
-      Out.Children.push_back(Cur.restrict(Pred, /*Positive=*/false));
+      Out.Children.addRestriction(Cur, Pred, /*Positive=*/false);
   }
   return Out;
 }
 
-void antidote::dedupeFrontier(std::vector<AbstractDataset> &Frontier) {
-  const size_t N = Frontier.size();
-  if (N < 2)
-    return;
-  // Open-addressed index set over the kept prefix Frontier[0, Kept): each
-  // slot holds a kept position, or Empty; at most half full. Both scratch
-  // vectors die on return, so none of it stays alive into the next depth.
-  constexpr uint32_t Empty = UINT32_MAX;
-  size_t Slots = 4;
-  while (Slots < 2 * N)
-    Slots *= 2;
-  const size_t Mask = Slots - 1;
-  std::vector<uint32_t> Table(Slots, Empty);
-  std::vector<uint64_t> Hashes(N);
-  size_t Kept = 0;
-  for (size_t I = 0; I < N; ++I) {
-    const uint64_t H = frontierHash(Frontier[I]);
-    size_t Slot = H & Mask;
-    bool Duplicate = false;
-    for (; Table[Slot] != Empty; Slot = (Slot + 1) & Mask) {
+std::vector<uint32_t> &FrontierChildren::room(size_t Words) {
+  // 16 KiB: a few children of a root-sized parent per block, so the part
+  // of a step the merge has passed but not yet freed stays small. On
+  // mnist17-binary at depth 2, 64 KiB blocks peaked 0.4 MB higher per
+  // verifying thread than 16 KiB blocks did.
+  constexpr size_t BlockWords = size_t(1) << 12;
+  if (Blocks.empty() ||
+      Blocks.back().capacity() - Blocks.back().size() < Words) {
+    Blocks.emplace_back();
+    Blocks.back().reserve(std::max(BlockWords, Words));
+  }
+  return Blocks.back();
+}
+
+void FrontierChildren::addRestriction(const AbstractDataset &Parent,
+                                      const SplitPredicate &Pred,
+                                      bool Positive) {
+  // Room for every parent row; resize zeroes the counts the kernel adds
+  // to, and the second resize trims the rows it did not keep. Neither
+  // reallocates: room() leaves that much capacity.
+  const size_t NumClasses = Parent.base().numClasses();
+  std::vector<uint32_t> &Block = room(NumClasses + Parent.size());
+  const size_t Offset = Block.size();
+  Block.resize(Offset + NumClasses + Parent.size());
+  uint32_t *Counts = Block.data() + Offset;
+  uint32_t *Rows = Counts + NumClasses;
+  AbstractDataset::RestrictShape Shape =
+      Parent.restrictInto(Pred, Positive, Rows, Counts);
+  Block.resize(Offset + NumClasses + Shape.Size);
+  Headers.push_back({childHash(Rows, Shape.Size, Shape.Budget),
+                     static_cast<uint32_t>(Blocks.size() - 1),
+                     static_cast<uint32_t>(Offset), Shape.Size, Shape.Budget,
+                     Shape.Size});
+}
+
+void FrontierChildren::add(const AbstractDataset &Child) {
+  assert(Child.counts().capacity() == Child.counts().size() &&
+         "stateBytesOf charges exactly numClasses() counts");
+  std::vector<uint32_t> &Block = room(Child.counts().size() + Child.size());
+  const size_t Offset = Block.size();
+  Block.insert(Block.end(), Child.counts().begin(), Child.counts().end());
+  Block.insert(Block.end(), Child.rows().begin(), Child.rows().end());
+  Headers.push_back({childHash(Child.rows().data(), Child.size(),
+                               Child.budget()),
+                     static_cast<uint32_t>(Blocks.size() - 1),
+                     static_cast<uint32_t>(Offset), Child.size(),
+                     Child.budget(),
+                     static_cast<uint32_t>(Child.rows().capacity())});
+}
+
+void FrontierIndex::merge(FrontierChildren &&Step) {
+  const size_t NumClasses = Base->numClasses();
+  if (2 * (Kept.size() + Step.size()) > Table.size())
+    grow(Kept.size() + Step.size());
+  const size_t Mask = Table.size() - 1;
+  size_t Freed = 0;
+  for (const FrontierChildren::Header &H : Step.Headers) {
+    while (Freed < H.Block)
+      Step.Blocks[Freed++] = std::vector<uint32_t>();
+    ++Emitted;
+    EmittedBytes += AbstractDataset::stateBytesOf(H.RowCapacity, NumClasses);
+    const uint32_t *Counts = Step.Blocks[H.Block].data() + H.Offset;
+    const uint32_t *Rows = Counts + NumClasses;
+    size_t Slot = H.Hash & Mask;
+    bool Seen = false;
+    for (; Table[Slot] != EmptySlot; Slot = (Slot + 1) & Mask) {
       const uint32_t J = Table[Slot];
-      if (Hashes[J] == H && Frontier[J] == Frontier[I]) {
-        Duplicate = true;
+      const AbstractDataset &K = Kept[J];
+      if (KeptHashes[J] == H.Hash && K.size() == H.Size &&
+          K.budget() == H.Budget &&
+          std::equal(Rows, Rows + H.Size, K.rows().data())) {
+        Seen = true;
         break;
       }
     }
-    if (Duplicate)
+    if (Seen)
       continue;
-    Table[Slot] = static_cast<uint32_t>(Kept);
-    Hashes[Kept] = H;
-    if (Kept != I)
-      Frontier[Kept] = std::move(Frontier[I]);
-    ++Kept;
+    Table[Slot] = static_cast<uint32_t>(Kept.size());
+    KeptHashes.push_back(H.Hash);
+    Kept.push_back(AbstractDataset::adopt(*Base, Rows, H.Size, H.RowCapacity,
+                                          H.Budget, Counts));
   }
-  Frontier.erase(Frontier.begin() + Kept, Frontier.end());
+}
 
-  std::sort(Frontier.begin(), Frontier.end(),
+void FrontierIndex::grow(size_t MinKept) {
+  size_t Slots = std::max<size_t>(16, Table.size());
+  while (Slots < 2 * MinKept)
+    Slots *= 2;
+  Table.assign(Slots, EmptySlot);
+  const size_t Mask = Table.size() - 1;
+  for (size_t J = 0; J < Kept.size(); ++J) {
+    size_t Slot = KeptHashes[J] & Mask;
+    while (Table[Slot] != EmptySlot)
+      Slot = (Slot + 1) & Mask;
+    Table[Slot] = static_cast<uint32_t>(J);
+  }
+}
+
+std::vector<AbstractDataset> FrontierIndex::takeSorted() {
+  std::sort(Kept.begin(), Kept.end(),
             [](const AbstractDataset &A, const AbstractDataset &B) {
               if (A.budget() != B.budget())
                 return A.budget() < B.budget();
               return rowsLess(A.rows(), B.rows());
             });
+  std::vector<AbstractDataset> Sorted = std::move(Kept);
+  Kept.clear();
+  KeptHashes.clear();
+  std::fill(Table.begin(), Table.end(), EmptySlot);
+  Emitted = 0;
+  EmittedBytes = 0;
+  return Sorted;
 }
 
 AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
@@ -253,11 +325,10 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
   Frontier.push_back(Initial);
   Result.PeakDisjuncts = 1;
   Result.PeakStateBytes = Initial.stateBytes();
+  FrontierIndex Index(Initial.base());
 
   bool Aborted = false;
   for (unsigned Iter = 0; Iter < Config.Depth && !Frontier.empty(); ++Iter) {
-    std::vector<AbstractDataset> Next;
-    uint64_t FrontierBytes = 0;
     {
       // Transfer phase: the workers compute per-disjunct steps out of
       // order while the merge below consumes them strictly in disjunct-
@@ -278,10 +349,11 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
                            },
                            WindowChunks);
 
-      // Merge phase: single writer of the tracker and every counter.
+      // Merge phase: single writer of the tracker, the index and every
+      // counter. The caps see every emitted child, duplicates included.
       for (size_t I = 0, E = Frontier.size(); I < E; ++I) {
-        if ((Aborted = shouldAbort(Frontier.size() + Next.size(),
-                                   FrontierBytes))) {
+        if ((Aborted = shouldAbort(Frontier.size() + Index.emitted(),
+                                   Index.emittedBytes()))) {
           // Refuted or over budget: the disjuncts past I will never be
           // merged, so tell the workers to stop paying for them.
           Fanout.cancelRemaining();
@@ -294,14 +366,11 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
         for (AbstractDataset &Terminal : Step.Terminals)
           addTerminal(std::move(Terminal));
         Result.BestSplitCalls += Step.CalledBestSplit;
-        for (const AbstractDataset &Child : Step.Children)
-          FrontierBytes += Child.stateBytes();
-        // One range insert grows Next once from the step's child count.
-        Next.insert(Next.end(), std::make_move_iterator(Step.Children.begin()),
-                    std::make_move_iterator(Step.Children.end()));
+        Index.merge(std::move(Step.Children));
         // Release the merged step's buffers now rather than at the end
-        // of the iteration: with huge frontiers, Count moved-from shells
-        // would otherwise accumulate alongside the live Next.
+        // of the iteration: with huge frontiers, every step's terminals
+        // and last block would otherwise stay alive alongside the kept
+        // children.
         Step = DisjunctStep();
       }
       // Fanout's destructor joins any worker still finishing a claimed
@@ -310,25 +379,22 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
     if (Aborted)
       break;
 
-    if (Config.Domain != AbstractDomainKind::Box) {
-      dedupeFrontier(Next);
-
-      if (Config.Domain == AbstractDomainKind::DisjunctsCapped &&
-          Config.DisjunctCap > 0) {
-        // §6.3's precision-for-memory trade: collapse the frontier to the
-        // cap by joining *adjacent* disjuncts. After the lexicographic
-        // sort above, neighbours share most of their rows, so pairwise
-        // halving loses far less precision than folding an arbitrary
-        // overflow tail into one element.
-        while (Next.size() > Config.DisjunctCap) {
-          std::vector<AbstractDataset> Halved;
-          Halved.reserve((Next.size() + 1) / 2);
-          for (size_t I = 0; I + 1 < Next.size(); I += 2)
-            Halved.push_back(AbstractDataset::join(Next[I], Next[I + 1]));
-          if (Next.size() % 2)
-            Halved.push_back(std::move(Next.back()));
-          Next = std::move(Halved);
-        }
+    std::vector<AbstractDataset> Next = Index.takeSorted();
+    if (Config.Domain == AbstractDomainKind::DisjunctsCapped &&
+        Config.DisjunctCap > 0) {
+      // §6.3's precision-for-memory trade: collapse the frontier to the
+      // cap by joining *adjacent* disjuncts. After the lexicographic
+      // sort, neighbours share most of their rows, so pairwise halving
+      // loses far less precision than folding an arbitrary overflow tail
+      // into one element.
+      while (Next.size() > Config.DisjunctCap) {
+        std::vector<AbstractDataset> Halved;
+        Halved.reserve((Next.size() + 1) / 2);
+        for (size_t I = 0; I + 1 < Next.size(); I += 2)
+          Halved.push_back(AbstractDataset::join(Next[I], Next[I + 1]));
+        if (Next.size() % 2)
+          Halved.push_back(std::move(Next.back()));
+        Next = std::move(Halved);
       }
     }
 

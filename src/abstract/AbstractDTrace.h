@@ -38,16 +38,26 @@
 /// phase (the `ent = 0` conditional, `bestSplit#`, and `filter#` for one
 /// disjunct, producing that disjunct's terminals and children) that fans
 /// out over a `ThreadPool`, and a sequential *merge* phase — the single
-/// writer of the domination tracker, the dedup/overflow-join, and every
-/// resource counter — that folds the per-disjunct results in disjunct-
-/// index order. Each transfer step runs `bestSplit#` serially on its
-/// executor. Between depths `dedupeFrontier` drops duplicate disjuncts by
-/// hash and sorts the rest into the fixed (budget, rows) order that the
-/// capped joins and the next depth's emission order depend on. Because
-/// every merge replays exactly the serial order, the
-/// result (terminals, certificates, `PeakDisjuncts`, `PeakStateBytes`,
-/// `BestSplitCalls`) is bit-identical for every pool size in
-/// all three domains; only wall-clock time changes.
+/// writer of the domination tracker, the frontier index, the overflow
+/// join, and every resource counter — that folds the per-disjunct results
+/// in disjunct-index order. Each transfer step runs `bestSplit#` serially
+/// on its executor and packs its children into one buffer
+/// (`FrontierChildren`) straight from restrict#'s kernel, hashing each
+/// while its rows are still in cache; no element is built for them there.
+///
+/// Tied predicates often induce the same restriction, so about half of a
+/// depth's children are copies. The merge drops them as it meets them
+/// (`FrontierIndex`): it probes a per-depth index of the children already
+/// kept and copies out an element only for a child it has not seen, so no
+/// duplicate is ever allocated. The resource caps still count every
+/// emitted child, duplicates included, at the bytes the element would
+/// charge, so abort points do not depend on how many children repeat.
+/// Between depths the kept children are sorted into the fixed
+/// (budget, rows) order that the capped joins and the next depth's
+/// emission order depend on. Because every merge replays exactly the
+/// serial order, the result (terminals, certificates, `PeakDisjuncts`,
+/// `PeakStateBytes`, `BestSplitCalls`) is bit-identical for every pool
+/// size in all three domains; only wall-clock time changes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -157,28 +167,100 @@ struct AbstractLearnerResult {
   double Seconds = 0.0;
 };
 
-/// Removes structurally identical disjuncts (same budget, same rows) from
-/// \p Frontier and sorts the survivors by (budget, rows), rows compared
-/// lexicographically with a shorter prefix first — the disjunctive
-/// domains' per-depth dedupe.
+/// The children one transfer step emits, packed into one buffer rather
+/// than one element each: per child its per-class counts, then its rows,
+/// plus a header with the child's hash, size, budget and the row capacity
+/// it charges. One executor fills it in the transfer phase; the merge
+/// consumes it through a `FrontierIndex`.
 ///
-/// Tied predicates often induce the same restriction, so about half of a
-/// depth's children are copies. The duplicates go first, by hash-consing
-/// (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006): each
-/// element is hashed once from its budget, size and a sum of independently
-/// mixed row ids, and an index hash set keeps the first copy of every
-/// (hash, `==`) class. A hash match counts only after a full comparison.
-/// Which copy survives does not matter: the copies are equal element by
-/// element and every child `restrict#` builds holds its rows at exact
-/// capacity, so they also charge identical `stateBytes()`.
-///
-/// The survivors are then sorted by exactly the key the learner has always
-/// used (the comparison skips equal 16-row blocks with memcmp). The order
-/// is part of the result, not a convenience: `DisjunctsCapped` joins
-/// *adjacent* disjuncts, and the next depth's emission order fixes the
-/// terminal order and the points where a refutation or budget stops the
-/// run. The output equals `std::sort` + `std::unique` under that key.
-void dedupeFrontier(std::vector<AbstractDataset> &Frontier);
+/// The buffer is a list of blocks, and a child never straddles two. The
+/// merge frees each block as soon as it has passed it, so a step's packed
+/// children and the elements kept from them are never all alive at once:
+/// on a step as large as the root's, where few children repeat, that
+/// would hold the step twice.
+class FrontierChildren {
+public:
+  /// Appends `Parent.restrict(Pred, Positive)` without building it:
+  /// restrict#'s kernel writes the rows and counts straight into the
+  /// buffer, and the child is hashed right after, while its rows are
+  /// still in cache.
+  void addRestriction(const AbstractDataset &Parent,
+                      const SplitPredicate &Pred, bool Positive);
+
+  /// Appends a copy of a child built elsewhere (Box's `filter#` join),
+  /// charged at its own row capacity.
+  void add(const AbstractDataset &Child);
+
+  size_t size() const { return Headers.size(); }
+
+private:
+  friend class FrontierIndex;
+
+  struct Header {
+    uint64_t Hash;
+    uint32_t Block;  ///< Index into Blocks.
+    uint32_t Offset; ///< Counts at Blocks[Block][Offset], the rows after.
+    uint32_t Size;
+    uint32_t Budget;
+    uint32_t RowCapacity;
+  };
+
+  /// The block with room for \p Words more words past its end, opening a
+  /// new one when the last has too little.
+  std::vector<uint32_t> &room(size_t Words);
+
+  std::vector<Header> Headers;
+  std::vector<std::vector<uint32_t>> Blocks;
+};
+
+/// The merge phase's per-depth index of the children kept so far:
+/// hash-consing (Filliâtre & Conchon, "Type-safe modular hash-consing",
+/// 2006) — look a child up before allocating it. The open-addressed table
+/// grows with the children kept, so a one-disjunct depth (every Box depth)
+/// pays for a handful of slots. Single writer; not thread-safe.
+class FrontierIndex {
+public:
+  explicit FrontierIndex(const Dataset &Base) : Base(&Base) {}
+
+  /// Folds \p Step's children in emission order, freeing its blocks as
+  /// it passes them. Every child counts toward emitted() and
+  /// emittedBytes() — what the resource caps charge, duplicates included
+  /// — but only a child not yet kept at this depth is copied out, into an
+  /// element at the row capacity its header names. A probe matches on
+  /// hash, size and budget, then compares the rows in full, so a hash
+  /// collision never drops a child.
+  void merge(FrontierChildren &&Step);
+
+  /// Children merged since the last takeSorted(), duplicates included.
+  size_t emitted() const { return Emitted; }
+
+  /// The sum of stateBytes() those children would charge as elements.
+  uint64_t emittedBytes() const { return EmittedBytes; }
+
+  /// Ends the depth: returns the kept children sorted by (budget, rows),
+  /// rows compared lexicographically with a proper prefix first, and
+  /// empties the index. The result equals `std::sort` + `std::unique`
+  /// under that key over every merged child. The order is part of the
+  /// learner's result, not a convenience: `DisjunctsCapped` joins
+  /// *adjacent* disjuncts, and the next depth's emission order fixes the
+  /// terminal order and the points where a refutation or budget stops the
+  /// run.
+  std::vector<AbstractDataset> takeSorted();
+
+private:
+  /// Resizes the table for at least \p MinKept children, at most half
+  /// full, and reinserts the kept ones.
+  void grow(size_t MinKept);
+
+  const Dataset *Base;
+  std::vector<AbstractDataset> Kept;
+  std::vector<uint64_t> KeptHashes;
+  /// Open-addressed slots holding an index into Kept, or UINT32_MAX; at
+  /// most half full.
+  std::vector<uint32_t> Table;
+  size_t Emitted = 0;
+  uint64_t EmittedBytes = 0;
+};
 
 /// Runs DTrace#(⟨T,n⟩, x). \p Initial must be a non-empty abstract set over
 /// `Ctx.base()`.

@@ -83,8 +83,15 @@ bool AbstractDataset::concretizationContains(
   return Rows.size() - Candidate.size() <= Budget;
 }
 
-AbstractDataset AbstractDataset::restrict(const SplitPredicate &Pred,
-                                          bool Positive) const {
+namespace {
+
+/// restrict#'s kernel, inlined into both restrict() and restrictInto():
+/// compacts the rows of ⟨Rows, Budget⟩ possibly on \p Pred's requested side
+/// into \p Out and adds their classes to \p Cnt.
+inline AbstractDataset::RestrictShape
+restrictKernel(const Dataset &Base, const RowIndexList &Rows, uint32_t Budget,
+               const SplitPredicate &Pred, bool Positive, uint32_t *Out,
+               uint32_t *Cnt) {
   // Partition the rows into definitely / possibly on the requested side.
   // For a concrete predicate "possibly" and "definitely" coincide and this
   // is exactly equation (1); for a symbolic ρ the Maybe rows are kept but
@@ -96,17 +103,11 @@ AbstractDataset AbstractDataset::restrict(const SplitPredicate &Pred,
   // Maybe ⇔ lo < V < hi), and the kept rows compact through an always-write
   // cursor — no data-dependent branch in either loop. The same pass adds
   // each kept row to its class's count, so the child never rescans its
-  // rows for `counts()`. The scratch keeps the copied-out row vector at
-  // exact capacity, which the stateBytes() memory accounting depends on.
-  const float *Col = Base->column(Pred.feature());
-  const uint32_t *Labels = Base->labels();
+  // rows for `counts()`.
+  const float *Col = Base.column(Pred.feature());
+  const uint32_t *Labels = Base.labels();
   const double PredLo = Pred.lo();
   const double PredHi = Pred.hi();
-  thread_local std::vector<uint32_t> Scratch;
-  Scratch.resize(Rows.size());
-  uint32_t *Out = Scratch.data();
-  std::vector<uint32_t> KeptCounts(Base->numClasses(), 0);
-  uint32_t *Cnt = KeptCounts.data();
   size_t N = 0;
   uint32_t Definite = 0;
   if (Positive) {
@@ -130,13 +131,48 @@ AbstractDataset AbstractDataset::restrict(const SplitPredicate &Pred,
       Definite += !(LeLo | LtHi);
     }
   }
-  RowIndexList Possible(Scratch.begin(), Scratch.begin() + N);
-  uint32_t PossibleSize = static_cast<uint32_t>(N);
-  uint32_t NewBudget =
+  const uint32_t PossibleSize = static_cast<uint32_t>(N);
+  const uint32_t NewBudget =
       std::max(std::min(Budget, PossibleSize),
                (PossibleSize - Definite) + std::min(Budget, Definite));
-  return AbstractDataset(*Base, std::move(Possible), NewBudget,
-                         std::move(KeptCounts));
+  return {PossibleSize, NewBudget};
+}
+
+} // namespace
+
+AbstractDataset AbstractDataset::restrict(const SplitPredicate &Pred,
+                                          bool Positive) const {
+  // The kernel compacts the rows into per-thread scratch and counts them
+  // into the child's own counts vector; the copied-out row vector is at
+  // exact capacity, which the stateBytes() memory accounting depends on.
+  thread_local std::vector<uint32_t> Scratch;
+  Scratch.resize(Rows.size());
+  std::vector<uint32_t> KeptCounts(Base->numClasses(), 0);
+  RestrictShape Shape = restrictKernel(*Base, Rows, Budget, Pred, Positive,
+                                       Scratch.data(), KeptCounts.data());
+  return AbstractDataset(
+      *Base, RowIndexList(Scratch.begin(), Scratch.begin() + Shape.Size),
+      Shape.Budget, std::move(KeptCounts));
+}
+
+AbstractDataset::RestrictShape
+AbstractDataset::restrictInto(const SplitPredicate &Pred, bool Positive,
+                              uint32_t *OutRows, uint32_t *OutCounts) const {
+  return restrictKernel(*Base, Rows, Budget, Pred, Positive, OutRows,
+                        OutCounts);
+}
+
+AbstractDataset AbstractDataset::adopt(const Dataset &Base,
+                                       const uint32_t *Rows, uint32_t Size,
+                                       uint32_t RowCapacity, uint32_t Budget,
+                                       const uint32_t *Counts) {
+  assert(RowCapacity >= Size && "row capacity below the row count");
+  RowIndexList Kept;
+  Kept.reserve(RowCapacity);
+  Kept.assign(Rows, Rows + Size);
+  return AbstractDataset(
+      Base, std::move(Kept), Budget,
+      std::vector<uint32_t>(Counts, Counts + Base.numClasses()));
 }
 
 std::optional<AbstractDataset>

@@ -26,7 +26,9 @@
 /// plus cached class counts, so all of the above are linear merges.
 /// `restrict#` counts the classes of the rows it keeps in the same pass
 /// that compacts them, so the frontier's hottest constructor never
-/// rescans its rows.
+/// rescans its rows. Its kernel (`restrictInto`) writes into caller
+/// memory, so the disjunctive frontier can pack, hash and deduplicate a
+/// child before any element is allocated for it (abstract/AbstractDTrace.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -111,6 +113,28 @@ public:
   /// budget additionally absorbs the rows that are only possibly there.
   AbstractDataset restrict(const SplitPredicate &Pred, bool Positive) const;
 
+  /// The shape of a restriction written by restrictInto().
+  struct RestrictShape {
+    uint32_t Size;
+    uint32_t Budget;
+  };
+
+  /// restrict#'s kernel, the one both restrict() and the disjunctive
+  /// frontier's packed children run: writes the rows of
+  /// `restrict(Pred, Positive)` to \p OutRows (room for size() rows) and
+  /// adds their per-class counts to \p OutCounts (numClasses() zeroed
+  /// entries), and returns the child's size and budget.
+  RestrictShape restrictInto(const SplitPredicate &Pred, bool Positive,
+                             uint32_t *OutRows, uint32_t *OutCounts) const;
+
+  /// Copies \p Size canonical rows and their exact per-class counts
+  /// \p Counts (numClasses() entries, as restrictInto() writes them) into
+  /// a new element whose row vector holds \p RowCapacity >= \p Size slots,
+  /// which stateBytes() charges.
+  static AbstractDataset adopt(const Dataset &Base, const uint32_t *Rows,
+                               uint32_t Size, uint32_t RowCapacity,
+                               uint32_t Budget, const uint32_t *Counts);
+
   /// `pure(⟨T,n⟩, i)` (§4.7): restricts to concretizations containing only
   /// class-\p Class rows; std::nullopt is ⊥ (more than n rows of other
   /// classes would have to be dropped).
@@ -119,8 +143,16 @@ public:
   /// Heap bytes attributable to this element (for the Figure 7-11 memory
   /// metric).
   uint64_t stateBytes() const {
-    return Rows.capacity() * sizeof(uint32_t) +
-           Counts.capacity() * sizeof(uint32_t) + sizeof(*this);
+    return stateBytesOf(Rows.capacity(), Counts.capacity());
+  }
+
+  /// stateBytes() of an element whose row and count vectors hold
+  /// \p RowCapacity and \p CountCapacity slots: the one size formula, so
+  /// the frontier can charge a child it never materializes exactly what
+  /// the element would.
+  static uint64_t stateBytesOf(size_t RowCapacity, size_t CountCapacity) {
+    return (RowCapacity + CountCapacity) * sizeof(uint32_t) +
+           sizeof(AbstractDataset);
   }
 
   /// Renders "<|T|=…, n=…>" for diagnostics.

@@ -10,9 +10,9 @@
 #include "data/MnistLike.h"
 #include "support/Rng.h"
 
-#include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 using namespace antidote;
 
@@ -87,6 +87,5 @@ BenchmarkDataset antidote::loadBenchmarkDataset(const std::string &Name,
                                        Full ? 100 : 20);
     return Result;
   }
-  assert(false && "unknown benchmark dataset name");
-  return Result;
+  throw std::invalid_argument("unknown benchmark dataset '" + Name + "'");
 }

@@ -47,7 +47,9 @@ struct BenchmarkDataset {
 const std::vector<std::string> &benchmarkDatasetNames();
 
 /// Builds the named dataset ("iris", "mammography", "wdbc",
-/// "mnist17-binary", "mnist17-real") at the given scale.
+/// "mnist17-binary", "mnist17-real") at the given scale. Throws
+/// std::invalid_argument naming \p Name for any other name, in every
+/// build type.
 BenchmarkDataset loadBenchmarkDataset(const std::string &Name,
                                       BenchScale Scale);
 

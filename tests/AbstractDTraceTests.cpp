@@ -389,7 +389,7 @@ TEST(DomainPrecisionTest, VerifiedRobustnessIsMonotoneInBudget) {
 }
 
 //===----------------------------------------------------------------------===//
-// The frontier dedupe
+// The frontier's merge-time index
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -403,8 +403,8 @@ RowIndexList randomRowRange(Rng &R, uint32_t Lo, uint32_t Hi, double P) {
   return Rows;
 }
 
-/// The dedupe the learner used before hashing: sort by (budget, rows),
-/// then drop adjacent equals.
+/// The frontier dedupe by materializing every child: sort by
+/// (budget, rows), then drop adjacent equals.
 std::vector<AbstractDataset>
 referenceDedupe(std::vector<AbstractDataset> Frontier) {
   std::sort(Frontier.begin(), Frontier.end(),
@@ -418,19 +418,35 @@ referenceDedupe(std::vector<AbstractDataset> Frontier) {
   return Frontier;
 }
 
+/// One emitted child: a copy of a pool element, or a restriction of one.
+struct Emission {
+  size_t Source;
+  bool Restrict;
+  SplitPredicate Pred;
+  bool Positive;
+};
+
 } // namespace
 
-TEST(DedupeFrontierPropertyTest, MatchesSortUniqueElementByElement) {
-  // Random frontiers built to hit every branch of the comparison: heavy
-  // duplication, row lists sharing prefixes longer than the 16-row block
-  // (so the memcmp skip runs, and stops inside a block), row lists that
-  // are proper prefixes of others, and equal rows at different budgets.
+TEST(FrontierMergePropertyTest, MatchesSortUniqueElementByElement) {
+  // Random emissions built to hit every branch of the index and the sort:
+  // heavy duplication, row lists sharing prefixes longer than the 16-row
+  // block (so the sort's memcmp skip runs, and stops inside a block), row
+  // lists that are proper prefixes of others, equal rows at different
+  // budgets, and restrictions through the packed kernel that repeat or
+  // coincide. The steps are packed on a pool of four workers, as the
+  // learner's transfer phase packs them, many of them over several blocks,
+  // and merged in order by one index reused across trials.
   RandomDatasetSpec Spec;
   Spec.MinRows = 200;
   Spec.MaxRows = 200;
+  Spec.NumFeatures = 3;
   Spec.NumClasses = 3;
+  Spec.DistinctValues = 6;
   Rng R(20200615);
   Dataset Data = makeRandomDataset(R, Spec);
+  ThreadPool Workers(4);
+  FrontierIndex Index(Data);
   for (int Trial = 0; Trial < 300; ++Trial) {
     // Rows [0, 100) feed the shared prefixes, [100, 200) the tails.
     RowIndexList Prefix = randomRowRange(R, 0, 100, 0.2 + 0.6 * R.uniform());
@@ -464,23 +480,83 @@ TEST(DedupeFrontierPropertyTest, MatchesSortUniqueElementByElement) {
           static_cast<uint32_t>(R.uniformInt(Rows.size() + 1));
       Pool.emplace_back(Data, std::move(Rows), Budget);
     }
-    std::vector<AbstractDataset> Frontier;
-    size_t Count = R.uniformInt(4 * PoolSize + 2);
-    for (size_t I = 0; I < Count; ++I)
-      Frontier.push_back(Pool[R.uniformInt(PoolSize)]);
 
-    std::vector<AbstractDataset> Expected = referenceDedupe(Frontier);
-    dedupeFrontier(Frontier);
-    ASSERT_EQ(Frontier.size(), Expected.size()) << "trial " << Trial;
+    // A few predicates per trial, concrete and symbolic, so restrictions
+    // repeat and distinct thresholds keep the same rows.
+    std::vector<SplitPredicate> Preds;
+    for (size_t P = 0, E = 1 + R.uniformInt(4); P < E; ++P) {
+      uint32_t Feature = static_cast<uint32_t>(R.uniformInt(3));
+      double Lo = static_cast<double>(R.uniformInt(6)) + 0.5;
+      Preds.push_back(R.bernoulli(0.5)
+                          ? SplitPredicate::threshold(Feature, Lo)
+                          : SplitPredicate::symbolic(Feature, Lo, Lo + 2.0));
+    }
+    std::vector<std::vector<Emission>> Steps(1 + R.uniformInt(5));
+    std::vector<AbstractDataset> Materialized;
+    uint64_t MaterializedBytes = 0;
+    for (std::vector<Emission> &Step : Steps) {
+      for (size_t I = 0, E = R.uniformInt(4 * PoolSize + 4); I < E; ++I) {
+        Emission Em{R.uniformInt(PoolSize), R.bernoulli(0.5),
+                    Preds[R.uniformInt(Preds.size())], R.bernoulli(0.5)};
+        const AbstractDataset &Src = Pool[Em.Source];
+        Materialized.push_back(Em.Restrict ? Src.restrict(Em.Pred, Em.Positive)
+                                           : Src);
+        MaterializedBytes += Materialized.back().stateBytes();
+        Step.push_back(Em);
+      }
+    }
+
+    std::vector<FrontierChildren> Packed(Steps.size());
+    parallelFor(&Workers, Steps.size(), [&](size_t S) {
+      for (const Emission &Em : Steps[S]) {
+        if (Em.Restrict)
+          Packed[S].addRestriction(Pool[Em.Source], Em.Pred, Em.Positive);
+        else
+          Packed[S].add(AbstractDataset(Pool[Em.Source]));
+      }
+    });
+    for (FrontierChildren &Step : Packed)
+      Index.merge(std::move(Step));
+    EXPECT_EQ(Index.emitted(), Materialized.size()) << "trial " << Trial;
+    EXPECT_EQ(Index.emittedBytes(), MaterializedBytes) << "trial " << Trial;
+
+    std::vector<AbstractDataset> Expected = referenceDedupe(Materialized);
+    std::vector<AbstractDataset> Kept = Index.takeSorted();
+    EXPECT_EQ(Index.emitted(), 0u) << "trial " << Trial;
+    EXPECT_EQ(Index.emittedBytes(), 0u) << "trial " << Trial;
+    ASSERT_EQ(Kept.size(), Expected.size()) << "trial " << Trial;
     for (size_t I = 0; I < Expected.size(); ++I) {
-      EXPECT_EQ(Frontier[I].rows(), Expected[I].rows())
+      EXPECT_EQ(Kept[I].rows(), Expected[I].rows())
           << "trial " << Trial << ", element " << I;
-      EXPECT_EQ(Frontier[I].budget(), Expected[I].budget())
+      EXPECT_EQ(Kept[I].budget(), Expected[I].budget())
           << "trial " << Trial << ", element " << I;
-      EXPECT_EQ(Frontier[I].counts(), Expected[I].counts())
+      EXPECT_EQ(Kept[I].counts(), Expected[I].counts())
           << "trial " << Trial << ", element " << I;
-      EXPECT_EQ(Frontier[I].stateBytes(), Expected[I].stateBytes())
+      EXPECT_EQ(Kept[I].stateBytes(), Expected[I].stateBytes())
           << "trial " << Trial << ", element " << I;
     }
   }
+}
+
+TEST(FrontierMergeTest, CopiedChildKeepsTheRowCapacityItCharges) {
+  // Box's filter# child is a join, whose row vector has spare capacity
+  // that PeakStateBytes has always charged; the merge must charge and
+  // keep exactly that, not an exact-capacity copy.
+  Dataset Data = figure2Dataset();
+  AbstractDataset A(Data, {0, 1, 2, 3}, 1);
+  AbstractDataset B(Data, {2, 3, 4, 5}, 2);
+  AbstractDataset Joined = AbstractDataset::join(A, B);
+  ASSERT_GT(Joined.rows().capacity(), Joined.rows().size());
+  FrontierChildren Step;
+  Step.add(Joined);
+  Step.add(Joined);
+  FrontierIndex Index(Data);
+  Index.merge(std::move(Step));
+  EXPECT_EQ(Index.emitted(), 2u);
+  EXPECT_EQ(Index.emittedBytes(), 2 * Joined.stateBytes());
+  std::vector<AbstractDataset> Kept = Index.takeSorted();
+  ASSERT_EQ(Kept.size(), 1u);
+  EXPECT_EQ(Kept[0], Joined);
+  EXPECT_EQ(Kept[0].counts(), Joined.counts());
+  EXPECT_EQ(Kept[0].stateBytes(), Joined.stateBytes());
 }

@@ -9,8 +9,11 @@
 
 #include "TestUtil.h"
 #include "data/Csv.h"
+#include "data/Registry.h"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 using namespace antidote;
 using namespace antidote::testutil;
@@ -56,6 +59,21 @@ TEST(DatasetTest, AllRowsAndClassCounts) {
   std::vector<uint32_t> Counts = classCounts(Data, Subset);
   EXPECT_EQ(Counts[0], 1u);
   EXPECT_EQ(Counts[1], 2u);
+}
+
+TEST(DatasetTest, UnknownBenchmarkNameThrowsNamingIt) {
+  // An unknown name must fail in every build type, not hand back an empty
+  // split that a caller would go on to verify.
+  try {
+    loadBenchmarkDataset("no-such-dataset", BenchScale::Scaled);
+    FAIL() << "loadBenchmarkDataset accepted an unknown name";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find("'no-such-dataset'"),
+              std::string::npos)
+        << E.what();
+  }
+  EXPECT_THROW(loadBenchmarkDataset("", BenchScale::Full),
+               std::invalid_argument);
 }
 
 TEST(DatasetTest, CanonicalRowSetDetection) {

@@ -5,22 +5,31 @@
 //
 // Pins every Certificate field except Seconds — verdict, prediction,
 // dominating class, terminal count, PeakDisjuncts, PeakStateBytes and
-// BestSplitCalls — for a few rows of five configurations whose cost is the
-// disjunctive frontier (restrict#, the dedupe, the capped adjacent joins):
+// BestSplitCalls — for a few rows of eight configurations whose cost is
+// the disjunctive frontier (restrict#, the dedupe, the capped adjacent
+// joins, the resource caps):
 //
 //   mammography  depth 4  n=2  disjuncts
 //   mammography  depth 3  n=8  disjuncts-capped, cap 16
 //   mammography  depth 4  n=4  box
 //   wdbc         depth 2  n=2  disjuncts
 //   iris         depth 3  n=4  disjuncts, label flips
+//   mammography  depth 4  n=2  disjuncts, MaxDisjuncts 5000 / 8000
+//   mammography  depth 4  n=2  disjuncts, MaxStateBytes 2,400,000
 //
 // The values were recorded from the implementation that counted classes
 // with a separate rescan after every restrict# and deduplicated the
-// frontier with a plain std::sort + std::unique. PeakStateBytes sums the
-// exact capacities of every live row and count vector plus
-// sizeof(AbstractDataset), so any change to the element's layout, the
-// vectors' capacities, the frontier's contents or the order the capped
-// domain joins in moves it; the other fields pin what a client sees.
+// frontier with a plain std::sort + std::unique; the three capped configs
+// from the one that materialized every child and deduplicated the whole
+// depth after its merge. Every capped row ends ResourceLimit in the middle
+// of depth 4's merge although no deduplicated frontier of theirs exceeds
+// 4,033 disjuncts: the caps count every child the transfer steps emit,
+// duplicates included, so the terminal and bestSplit# counts pin the
+// exact abort point. PeakStateBytes sums the exact capacities of every
+// live row and count vector plus sizeof(AbstractDataset), so any change
+// to the element's layout, the vectors' capacities, the frontier's
+// contents or the order the capped domain joins in moves it; the other
+// fields pin what a client sees.
 //
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +49,8 @@ struct GridConfig {
   AbstractDomainKind Domain;
   ThreatModelKind Threat;
   size_t DisjunctCap;
+  size_t MaxDisjuncts = ResourceLimits().MaxDisjuncts;
+  uint64_t MaxStateBytes = ResourceLimits().MaxStateBytes;
 };
 
 const GridConfig kGrid[] = {
@@ -53,6 +64,13 @@ const GridConfig kGrid[] = {
      64},
     {"iris", 3, 4, AbstractDomainKind::Disjuncts, ThreatModelKind::LabelFlip,
      64},
+    {"mammography", 4, 2, AbstractDomainKind::Disjuncts,
+     ThreatModelKind::Removal, 64, /*MaxDisjuncts=*/5000},
+    {"mammography", 4, 2, AbstractDomainKind::Disjuncts,
+     ThreatModelKind::Removal, 64, /*MaxDisjuncts=*/8000},
+    {"mammography", 4, 2, AbstractDomainKind::Disjuncts,
+     ThreatModelKind::Removal, 64, ResourceLimits().MaxDisjuncts,
+     /*MaxStateBytes=*/2400000},
 };
 
 struct GoldenCert {
@@ -86,6 +104,12 @@ const GoldenCert kGolden[] = {
     {4, 6, VerdictKind::Unknown, 2, false, 0, 460, 28365, 6555696, 1580},
     {4, 19, VerdictKind::Unknown, 1, false, 0, 3, 1376, 357124, 48},
     {4, 11, VerdictKind::Unknown, 1, false, 0, 4, 1453, 361068, 47},
+    {5, 86, VerdictKind::ResourceLimit, 0, false, 0, 6, 249, 176584, 94},
+    {5, 114, VerdictKind::ResourceLimit, 0, false, 0, 6, 249, 179248, 93},
+    {6, 86, VerdictKind::ResourceLimit, 0, false, 0, 14, 249, 176584, 165},
+    {6, 114, VerdictKind::ResourceLimit, 0, false, 0, 14, 249, 179248, 163},
+    {7, 86, VerdictKind::ResourceLimit, 0, false, 0, 1, 249, 176584, 70},
+    {7, 114, VerdictKind::ResourceLimit, 0, false, 0, 0, 249, 179248, 67},
 };
 
 } // namespace
@@ -102,6 +126,8 @@ TEST(FrontierGoldenTest, CertificatesMatchRecordedValues) {
     Config.Threat = Grid.Threat;
     Config.DisjunctCap = Grid.DisjunctCap;
     Config.Limits.TimeoutSeconds = 0.0;
+    Config.Limits.MaxDisjuncts = Grid.MaxDisjuncts;
+    Config.Limits.MaxStateBytes = Grid.MaxStateBytes;
     for (const GoldenCert &G : kGolden) {
       if (G.Config != C)
         continue;
@@ -111,7 +137,9 @@ TEST(FrontierGoldenTest, CertificatesMatchRecordedValues) {
                           std::to_string(Grid.Depth) + " n" +
                           std::to_string(Grid.Budget) + " " +
                           domainKindName(Grid.Domain) + " " +
-                          threatModelName(Grid.Threat) + ", row " +
+                          threatModelName(Grid.Threat) + " caps " +
+                          std::to_string(Grid.MaxDisjuncts) + "/" +
+                          std::to_string(Grid.MaxStateBytes) + ", row " +
                           std::to_string(G.Row);
       EXPECT_EQ(Cert.Kind, G.Kind) << Label;
       EXPECT_EQ(Cert.PoisoningBudget, Grid.Budget) << Label;
