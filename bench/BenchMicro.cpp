@@ -5,8 +5,9 @@
 //
 // google-benchmark microbenchmarks for the building blocks whose costs
 // drive the Figure 7-11 curves: interval arithmetic, ⟨T,n⟩ joins and
-// restrictions, the disjunctive frontier's merge, cprob#/ent#, concrete
-// and abstract bestSplit, DTrace, and end-to-end verification queries.
+// restrictions, the disjunctive frontier's bitset children and merge,
+// cprob#/ent#, concrete and abstract bestSplit, DTrace, and end-to-end
+// verification queries.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,31 +47,42 @@ const Verifier &mammoVerifier() {
   return V;
 }
 
-/// The children a depth-3 Disjuncts run on mammography (test row 86, n = 8)
-/// emits into its last frontier, duplicates included: the learner's
-/// transfer step (pure-leaf conditional, bestSplit#, one restrict# per
-/// feasible side) replayed without budgets, with the learner's
-/// deduplicated (budget, rows) order — here `std::sort` + `std::unique` —
-/// between depths. Built once; about 3.8k children, 62 % of them
-/// duplicates.
-const std::vector<AbstractDataset> &mammoDepth3Children() {
-  static const std::vector<AbstractDataset> Children = [] {
+/// One transfer step's `filter#` input: a frontier disjunct and the sides
+/// of its Ψ feasible for x.
+struct FrontierStep {
+  AbstractDataset Parent;
+  std::vector<std::pair<SplitPredicate, bool>> Sides;
+};
+
+/// The transfer steps of the last depth of a depth-4 Disjuncts run on
+/// mammography (test row 86, n = 8): the learner's transfer step
+/// (pure-leaf conditional, bestSplit#, one restrict# per feasible side)
+/// replayed without budgets, with the learner's deduplicated
+/// (budget, rows) order — here `std::sort` + `std::unique` — between
+/// depths. Built once; about 1.3k parents and 58k children, 85 % of
+/// them duplicates.
+const std::vector<FrontierStep> &mammoDepth4Steps() {
+  static const std::vector<FrontierStep> Steps = [] {
     const ThreatModel &Model = threatModel(ThreatModelKind::Removal);
     const float *X = mammo().Split.Test.row(86);
     std::vector<AbstractDataset> Frontier = {
         AbstractDataset::entire(mammo().Split.Train, 8)};
-    std::vector<AbstractDataset> Next;
-    for (unsigned Depth = 0; Depth < 3; ++Depth) {
+    std::vector<FrontierStep> Steps;
+    for (unsigned Depth = 0; Depth < 4; ++Depth) {
       if (Depth > 0) {
-        std::sort(Next.begin(), Next.end(),
+        Frontier.clear();
+        for (const FrontierStep &Step : Steps)
+          for (const auto &[Pred, Positive] : Step.Sides)
+            Frontier.push_back(Step.Parent.restrict(Pred, Positive));
+        std::sort(Frontier.begin(), Frontier.end(),
                   [](const AbstractDataset &A, const AbstractDataset &B) {
                     if (A.budget() != B.budget())
                       return A.budget() < B.budget();
                     return A.rows() < B.rows();
                   });
-        Next.erase(std::unique(Next.begin(), Next.end()), Next.end());
-        Frontier = std::move(Next);
-        Next.clear();
+        Frontier.erase(std::unique(Frontier.begin(), Frontier.end()),
+                       Frontier.end());
+        Steps.clear();
       }
       for (const AbstractDataset &Cur : Frontier) {
         std::vector<AbstractDataset> Pure;
@@ -81,18 +93,34 @@ const std::vector<AbstractDataset> &mammoDepth3Children() {
         std::optional<PredicateSet> Psi =
             Model.bestSplit(mammoCtx(), Cur, CprobTransformerKind::Optimal,
                             GiniLiftingKind::ExactTerm, nullptr);
+        FrontierStep Step{Cur, {}};
         for (const SplitPredicate &Pred : Psi->predicates()) {
           ThreeValued V = Pred.evaluate(X);
           if (V != ThreeValued::False)
-            Next.push_back(Cur.restrict(Pred, /*Positive=*/true));
+            Step.Sides.emplace_back(Pred, true);
           if (V != ThreeValued::True)
-            Next.push_back(Cur.restrict(Pred, /*Positive=*/false));
+            Step.Sides.emplace_back(Pred, false);
         }
+        if (!Step.Sides.empty())
+          Steps.push_back(std::move(Step));
       }
     }
-    return Next;
+    return Steps;
   }();
-  return Children;
+  return Steps;
+}
+
+/// Builds every step's children from bits, as the transfer phase does.
+std::vector<FrontierChildren> packSteps(const RestrictMasks &Masks,
+                                        const std::vector<FrontierStep> &In) {
+  std::vector<FrontierChildren> Packed;
+  Packed.reserve(In.size());
+  for (const FrontierStep &Step : In) {
+    Packed.emplace_back(Masks, Step.Parent, Step.Sides.size());
+    for (const auto &[Pred, Positive] : Step.Sides)
+      Packed.back().addRestriction(Pred, Positive);
+  }
+  return Packed;
 }
 
 } // namespace
@@ -133,28 +161,51 @@ static void BM_AbstractRestrict(benchmark::State &State) {
 }
 BENCHMARK(BM_AbstractRestrict);
 
-// One depth's merge of a real frontier: the fixed children, packed once as
-// the transfer steps pack them, pushed through a fresh merge-time index
-// that copies out only the children it has not seen, then sorted into the
+// filter# for one depth of a real frontier: every transfer step turns its
+// parent into a row bitset and builds each child as that AND a prefix mask
+// of the split context, taking its size, class counts, budget and hash
+// from the same words.
+static void BM_FrontierRestrict(benchmark::State &State) {
+  const std::vector<FrontierStep> &Steps = mammoDepth4Steps();
+  RestrictMasks Masks(mammoCtx());
+  size_t Children = 0;
+  for (auto _ : State) {
+    std::vector<FrontierChildren> Packed = packSteps(Masks, Steps);
+    Children = 0;
+    for (const FrontierChildren &Step : Packed)
+      Children += Step.size();
+    benchmark::DoNotOptimize(Packed.data());
+  }
+  State.counters["parents"] = static_cast<double>(Steps.size());
+  State.counters["children"] = static_cast<double>(Children);
+}
+BENCHMARK(BM_FrontierRestrict)->Unit(benchmark::kMicrosecond);
+
+// One depth's merge of a real frontier: the same children, built from
+// bits once, pushed through a fresh merge-time index that expands rows
+// only for the children it has not seen, then sorted into the
 // (budget, rows) order the next depth runs in. The merge consumes what it
 // folds, so each iteration copies the packed children first.
-static void BM_FrontierMerge(benchmark::State &State) {
-  const std::vector<AbstractDataset> &Children = mammoDepth3Children();
-  FrontierChildren Packed;
-  for (const AbstractDataset &Child : Children)
-    Packed.add(Child);
+static void BM_FrontierMergeBits(benchmark::State &State) {
+  RestrictMasks Masks(mammoCtx());
+  const std::vector<FrontierChildren> Packed =
+      packSteps(Masks, mammoDepth4Steps());
   size_t Kept = 0;
   for (auto _ : State) {
     FrontierIndex Index(mammo().Split.Train);
-    Index.merge(FrontierChildren(Packed));
+    for (const FrontierChildren &Step : Packed)
+      Index.merge(FrontierChildren(Step));
     std::vector<AbstractDataset> Frontier = Index.takeSorted();
     Kept = Frontier.size();
     benchmark::DoNotOptimize(Frontier.data());
   }
-  State.counters["children"] = static_cast<double>(Children.size());
+  size_t Children = 0;
+  for (const FrontierChildren &Step : Packed)
+    Children += Step.size();
+  State.counters["children"] = static_cast<double>(Children);
   State.counters["kept"] = static_cast<double>(Kept);
 }
-BENCHMARK(BM_FrontierMerge)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FrontierMergeBits)->Unit(benchmark::kMicrosecond);
 
 static void BM_CprobTransformer(benchmark::State &State) {
   CprobTransformerKind Kind =

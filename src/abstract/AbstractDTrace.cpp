@@ -10,7 +10,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <cstring>
+#include <memory>
 
 using namespace antidote;
 
@@ -39,38 +39,100 @@ uint64_t fmix64(uint64_t X) {
   return X;
 }
 
-/// Hash of a child's (budget, rows): a sum of independently mixed row ids
-/// (one multiply and one xor-shift each), finalized with the budget and
-/// size. The row terms carry no dependency on one another, so the loop
-/// runs at the speed of reading the rows rather than at a serial chain's
-/// latency. Equal children hash equal; the rare unequal pair that collides
-/// is told apart by the full comparison behind every match.
-uint64_t childHash(const uint32_t *Rows, uint32_t Size, uint32_t Budget) {
-  uint64_t Sum = 0;
-  for (const uint32_t *Row = Rows, *End = Rows + Size; Row != End; ++Row) {
-    const uint64_t X = uint64_t(*Row) * 0x9e3779b97f4a7c15ULL;
-    Sum += X ^ (X >> 29);
-  }
+/// One word's term of FrontierChildren::hash: the word salted with its
+/// index, then one multiply and one xor-shift. The terms carry no
+/// dependency on one another, so the sum runs at the speed of reading the
+/// words rather than at a serial chain's latency.
+inline uint64_t hashTerm(uint64_t Word, size_t I) {
+  const uint64_t X =
+      (Word ^ (I * 0x9e3779b97f4a7c15ULL)) * 0xbf58476d1ce4e5b9ULL;
+  return X ^ (X >> 31);
+}
+
+/// Folds the size and budget into a sum of hashTerm()s. fmix64 is a
+/// bijection and (Budget << 32 | Size) is injective, so for one sum every
+/// budget hashes differently.
+inline uint64_t finishHash(uint64_t Sum, uint32_t Size, uint32_t Budget) {
   return fmix64(Sum ^ ((uint64_t(Budget) << 32) | Size));
+}
+
+/// What one pass over a child's W words yields besides its bits.
+struct ChildPass {
+  uint32_t Size;
+  uint32_t Definite;
+  uint64_t HashSum;
+};
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) &&        \
+    !defined(__SANITIZE_THREAD__)
+// The baseline x86-64 target has no popcount instruction, so a portable
+// build would call a library routine for every word; the compiler also
+// emits a copy with the instruction and picks one by CPU at load time.
+// A ThreadSanitizer build keeps one copy: the loader runs the clones'
+// resolver before the sanitizer's runtime starts, and the program crashes.
+#define ANTIDOTE_POPCNT_CLONES                                                 \
+  __attribute__((target_clones("popcnt", "default")))
+#else
+#define ANTIDOTE_POPCNT_CLONES
+#endif
+
+/// The pass that builds one child: Out = Parent AND (Keep XOR Flip), with
+/// its size, hash sum and class counts (every class but the last by
+/// popcount against its mask, the last as the rest), and the popcount of
+/// Parent AND (Definite XOR Flip), or the size when \p Definite is null.
+ANTIDOTE_POPCNT_CLONES ChildPass
+childPass(const uint64_t *Parent, const uint64_t *Keep,
+          const uint64_t *Definite, uint64_t Flip, size_t Words,
+          const uint64_t *ClassBits, unsigned NumClasses, uint64_t *Out,
+          uint32_t *Counts) {
+  ChildPass P{0, 0, 0};
+  for (size_t I = 0; I < Words; ++I) {
+    const uint64_t Word = Parent[I] & (Keep[I] ^ Flip);
+    Out[I] = Word;
+    P.Size += static_cast<uint32_t>(__builtin_popcountll(Word));
+    P.HashSum += hashTerm(Word, I);
+  }
+  P.Definite = P.Size;
+  if (Definite) {
+    P.Definite = 0;
+    for (size_t I = 0; I < Words; ++I)
+      P.Definite += static_cast<uint32_t>(
+          __builtin_popcountll(Parent[I] & (Definite[I] ^ Flip)));
+  }
+  uint32_t Rest = P.Size;
+  for (unsigned C = 0; C + 1 < NumClasses; ++C) {
+    const uint64_t *Class = ClassBits + C * Words;
+    uint32_t N = 0;
+    for (size_t I = 0; I < Words; ++I)
+      N += static_cast<uint32_t>(__builtin_popcountll(Out[I] & Class[I]));
+    Counts[C] = N;
+    Rest -= N;
+  }
+  Counts[NumClasses - 1] = Rest;
+  return P;
 }
 
 constexpr uint32_t EmptySlot = UINT32_MAX;
 
-/// `A.rows() < B.rows()` (lexicographic, a proper prefix first), skipping
-/// the long equal prefixes sorted neighbours share 16 rows at a time.
-bool rowsLess(const RowIndexList &A, const RowIndexList &B) {
-  constexpr size_t Block = 16;
-  const size_t Common = std::min(A.size(), B.size());
-  const uint32_t *PA = A.data();
-  const uint32_t *PB = B.data();
+/// `A.rows() < B.rows()` (lexicographic, a proper prefix first) for two
+/// row sets given as row bitsets of \p Words words. Both hold the
+/// same rows below the lowest row D in exactly one of them. If D is A's,
+/// A's next row is D and B's is larger, unless B has none left and is a
+/// proper prefix of A; symmetrically if D is B's.
+bool bitsRowsLess(const uint64_t *A, const uint64_t *B, size_t Words) {
   size_t I = 0;
-  while (I + Block <= Common &&
-         std::memcmp(PA + I, PB + I, Block * sizeof(uint32_t)) == 0)
-    I += Block;
-  for (; I < Common; ++I)
-    if (PA[I] != PB[I])
-      return PA[I] < PB[I];
-  return A.size() < B.size();
+  while (I < Words && A[I] == B[I])
+    ++I;
+  if (I == Words)
+    return false;
+  const uint64_t Diff = A[I] ^ B[I];
+  const uint64_t D = Diff & (~Diff + 1);
+  const uint64_t *Other = (A[I] & D) ? B : A;
+  // Whether Other has a row above D.
+  bool Above = (Other[I] & ~((D << 1) - 1)) != 0;
+  for (size_t J = I + 1; !Above && J < Words; ++J)
+    Above = Other[J] != 0;
+  return Other == B ? Above : !Above;
 }
 
 /// Mutable run state threaded through the driver helpers.
@@ -86,7 +148,10 @@ public:
   LearnerRun(const SplitContext &Ctx, const float *X,
              const AbstractLearnerConfig &Config)
       : Ctx(Ctx), X(X), Config(Config), Model(threatModel(Config.Threat)),
-        Tracker(Config.Cprob), Meter(Config.Limits, Config.Cancel) {}
+        Tracker(Config.Cprob), Meter(Config.Limits, Config.Cancel) {
+    if (Config.Domain != AbstractDomainKind::Box)
+      Masks.emplace(Ctx);
+  }
 
   AbstractLearnerResult run(const AbstractDataset &Initial);
 
@@ -100,6 +165,7 @@ private:
     std::vector<std::vector<Interval>> ForcedTerminals;
     std::vector<AbstractDataset> Terminals;
     FrontierChildren Children;
+    std::optional<AbstractDataset> BoxChild; ///< Box's `filter#` join.
     bool CalledBestSplit = false;
   };
 
@@ -149,6 +215,8 @@ private:
   const float *X;
   const AbstractLearnerConfig &Config;
   const ThreatModel &Model;
+  /// What the disjunctive `filter#` builds children from; none under Box.
+  std::optional<RestrictMasks> Masks;
   DominationTracker Tracker;
   ResourceMeter Meter;
   AbstractLearnerResult Result;
@@ -183,104 +251,141 @@ LearnerRun::transferStep(const AbstractDataset &Cur) const {
     return Out;
 
   if (Config.Domain == AbstractDomainKind::Box) {
-    Out.Children.add(abstractFilter(Cur, *Psi, X));
+    Out.BoxChild = abstractFilter(Cur, *Psi, X);
     return Out;
   }
   // Disjunctive filter#: one disjunct per (predicate, feasible side of x).
+  size_t Sides = 0;
+  for (const SplitPredicate &Pred : Psi->predicates())
+    Sides += Pred.evaluate(X) == ThreeValued::Maybe ? 2 : 1;
+  Out.Children = FrontierChildren(*Masks, Cur, Sides);
   for (const SplitPredicate &Pred : Psi->predicates()) {
     if (Meter.interrupted())
       return Out;
     ThreeValued V = Pred.evaluate(X);
     if (V != ThreeValued::False)
-      Out.Children.addRestriction(Cur, Pred, /*Positive=*/true);
+      Out.Children.addRestriction(Pred, /*Positive=*/true);
     if (V != ThreeValued::True)
-      Out.Children.addRestriction(Cur, Pred, /*Positive=*/false);
+      Out.Children.addRestriction(Pred, /*Positive=*/false);
   }
   return Out;
 }
 
-std::vector<uint32_t> &FrontierChildren::room(size_t Words) {
-  // 16 KiB: a few children of a root-sized parent per block, so the part
-  // of a step the merge has passed but not yet freed stays small. On
-  // mnist17-binary at depth 2, 64 KiB blocks peaked 0.4 MB higher per
-  // verifying thread than 16 KiB blocks did.
-  constexpr size_t BlockWords = size_t(1) << 12;
-  if (Blocks.empty() ||
-      Blocks.back().capacity() - Blocks.back().size() < Words) {
-    Blocks.emplace_back();
-    Blocks.back().reserve(std::max(BlockWords, Words));
-  }
-  return Blocks.back();
+RestrictMasks::RestrictMasks(const SplitContext &Ctx)
+    : Base(Ctx.base()), Table(Ctx.prefixMasks()) {
+  const size_t Words = Table.maskWords();
+  const unsigned Masked = std::max(Base.numClasses(), 1u) - 1;
+  ClassBits.assign(Masked * Words, 0);
+  const uint32_t *Labels = Base.labels();
+  for (uint32_t Row = 0; Row < Base.numRows(); ++Row)
+    if (Labels[Row] < Masked)
+      ClassBits[Labels[Row] * Words + Row / 64] |= uint64_t(1) << (Row % 64);
 }
 
-void FrontierChildren::addRestriction(const AbstractDataset &Parent,
-                                      const SplitPredicate &Pred,
+FrontierChildren::FrontierChildren(const RestrictMasks &Masks,
+                                   const AbstractDataset &Parent,
+                                   size_t MaxChildren)
+    : Masks(&Masks), ParentBudget(Parent.budget()),
+      ParentBits(Masks.Table.maskWords(), 0),
+      Scratch(2 * Masks.Table.maskWords()) {
+  for (uint32_t Row : Parent.rows())
+    ParentBits[Row / 64] |= uint64_t(1) << (Row % 64);
+  Headers.reserve(MaxChildren);
+  Counts.resize(MaxChildren * Parent.base().numClasses());
+  Bits.resize(MaxChildren * ParentBits.size());
+}
+
+uint64_t FrontierChildren::hash(const uint64_t *Bits, size_t Words,
+                                uint32_t Size, uint32_t Budget) {
+  uint64_t Sum = 0;
+  for (size_t I = 0; I < Words; ++I)
+    Sum += hashTerm(Bits[I], I);
+  return finishHash(Sum, Size, Budget);
+}
+
+void FrontierChildren::addRestriction(const SplitPredicate &Pred,
                                       bool Positive) {
-  // Room for every parent row; resize zeroes the counts the kernel adds
-  // to, and the second resize trims the rows it did not keep. Neither
-  // reallocates: room() leaves that much capacity.
-  const size_t NumClasses = Parent.base().numClasses();
-  std::vector<uint32_t> &Block = room(NumClasses + Parent.size());
-  const size_t Offset = Block.size();
-  Block.resize(Offset + NumClasses + Parent.size());
-  uint32_t *Counts = Block.data() + Offset;
-  uint32_t *Rows = Counts + NumClasses;
-  AbstractDataset::RestrictShape Shape =
-      Parent.restrictInto(Pred, Positive, Rows, Counts);
-  Block.resize(Offset + NumClasses + Shape.Size);
-  Headers.push_back({childHash(Rows, Shape.Size, Shape.Budget),
-                     static_cast<uint32_t>(Blocks.size() - 1),
-                     static_cast<uint32_t>(Offset), Shape.Size, Shape.Budget,
-                     Shape.Size});
-}
+  const PrefixMaskTable &Table = Masks->Table;
+  const unsigned Feature = Pred.feature();
+  const unsigned NumClasses = Masks->Base.numClasses();
+  const size_t Words = ParentBits.size();
+  // Rows with V ≤ lo evaluate True and rows with lo < V < hi Maybe, and
+  // the True rows, like the True or Maybe rows (V < hi, or V ≤ lo), are a
+  // prefix of the feature's value-sorted order. The positive side keeps
+  // the second prefix and is definite on the first; the negative side
+  // keeps the complement of the first and is definite on the complement
+  // of the second. A concrete predicate has lo = hi, so the prefixes
+  // coincide and the child is as definite as it is large.
+  const PrefixMaskTable::Prefix AtMostLo =
+      Table.prefix(Feature, Pred.lo(), /*Strict=*/false, Scratch.data());
+  const PrefixMaskTable::Prefix BelowHi =
+      Pred.isSymbolic() ? Table.prefix(Feature, Pred.hi(), /*Strict=*/true,
+                                       Scratch.data() + Words)
+                        : AtMostLo;
+  const PrefixMaskTable::Prefix &Keep = Positive ? BelowHi : AtMostLo;
+  const PrefixMaskTable::Prefix &Definite = Positive ? AtMostLo : BelowHi;
 
-void FrontierChildren::add(const AbstractDataset &Child) {
-  assert(Child.counts().capacity() == Child.counts().size() &&
-         "stateBytesOf charges exactly numClasses() counts");
-  std::vector<uint32_t> &Block = room(Child.counts().size() + Child.size());
-  const size_t Offset = Block.size();
-  Block.insert(Block.end(), Child.counts().begin(), Child.counts().end());
-  Block.insert(Block.end(), Child.rows().begin(), Child.rows().end());
-  Headers.push_back({childHash(Child.rows().data(), Child.size(),
-                               Child.budget()),
-                     static_cast<uint32_t>(Blocks.size() - 1),
-                     static_cast<uint32_t>(Offset), Child.size(),
-                     Child.budget(),
-                     static_cast<uint32_t>(Child.rows().capacity())});
+  const size_t Child = Headers.size();
+  assert((Child + 1) * NumClasses <= Counts.size() &&
+         "more children than the constructor made room for");
+  const ChildPass P = childPass(
+      ParentBits.data(), Keep.Mask,
+      AtMostLo.Length == BelowHi.Length ? nullptr : Definite.Mask,
+      Positive ? 0 : ~uint64_t(0), Words, Masks->ClassBits.data(),
+      NumClasses, Bits.data() + Child * Words,
+      Counts.data() + Child * NumClasses);
+  const uint32_t Budget =
+      AbstractDataset::restrictBudget(ParentBudget, P.Size, P.Definite);
+  Headers.push_back({finishHash(P.HashSum, P.Size, Budget), P.Size, Budget});
 }
 
 void FrontierIndex::merge(FrontierChildren &&Step) {
+  assert(!Whole && "a child kept whole is its depth's only child");
   const size_t NumClasses = Base->numClasses();
+  assert((Step.size() == 0 || Step.ParentBits.size() == Words) &&
+         "children over another base");
   if (2 * (Kept.size() + Step.size()) > Table.size())
     grow(Kept.size() + Step.size());
   const size_t Mask = Table.size() - 1;
-  size_t Freed = 0;
-  for (const FrontierChildren::Header &H : Step.Headers) {
-    while (Freed < H.Block)
-      Step.Blocks[Freed++] = std::vector<uint32_t>();
+  for (size_t C = 0, E = Step.size(); C < E; ++C) {
+    const FrontierChildren::Header &H = Step.Headers[C];
     ++Emitted;
-    EmittedBytes += AbstractDataset::stateBytesOf(H.RowCapacity, NumClasses);
-    const uint32_t *Counts = Step.Blocks[H.Block].data() + H.Offset;
-    const uint32_t *Rows = Counts + NumClasses;
+    EmittedBytes += AbstractDataset::stateBytesOf(H.Size, NumClasses);
+    const uint64_t *Bits = Step.Bits.data() + C * Words;
     size_t Slot = H.Hash & Mask;
     bool Seen = false;
     for (; Table[Slot] != EmptySlot; Slot = (Slot + 1) & Mask) {
       const uint32_t J = Table[Slot];
-      const AbstractDataset &K = Kept[J];
-      if (KeptHashes[J] == H.Hash && K.size() == H.Size &&
-          K.budget() == H.Budget &&
-          std::equal(Rows, Rows + H.Size, K.rows().data())) {
+      // The hash folds the budget in through a bijection, so equal bits
+      // at different budgets never share a hash and no test reaches a
+      // budget mismatch here (FrontierMergeTest.
+      // HashSeparatesEqualRowsAtDifferentBudgets checks the bijection);
+      // the compare stays so that a match never rests on the hash.
+      if (Kept[J].Hash == H.Hash && Kept[J].Budget == H.Budget &&
+          std::equal(Bits, Bits + Words, keptBits(J))) {
         Seen = true;
         break;
       }
     }
     if (Seen)
       continue;
+    if (Kept.size() % KeptBlock == 0) {
+      KeptBits.emplace_back();
+      KeptBits.back().reserve(KeptBlock * Words);
+    }
     Table[Slot] = static_cast<uint32_t>(Kept.size());
-    KeptHashes.push_back(H.Hash);
-    Kept.push_back(AbstractDataset::adopt(*Base, Rows, H.Size, H.RowCapacity,
-                                          H.Budget, Counts));
+    Kept.push_back(H);
+    const uint32_t *Counts = Step.Counts.data() + C * NumClasses;
+    KeptCounts.insert(KeptCounts.end(), Counts, Counts + NumClasses);
+    KeptBits.back().insert(KeptBits.back().end(), Bits, Bits + Words);
   }
+}
+
+void FrontierIndex::keep(AbstractDataset &&Child) {
+  assert(Emitted == 0 && "a child kept whole must be its depth's only one");
+  ++Emitted;
+  EmittedBytes += Child.stateBytes();
+  Whole = std::move(Child);
 }
 
 void FrontierIndex::grow(size_t MinKept) {
@@ -290,7 +395,7 @@ void FrontierIndex::grow(size_t MinKept) {
   Table.assign(Slots, EmptySlot);
   const size_t Mask = Table.size() - 1;
   for (size_t J = 0; J < Kept.size(); ++J) {
-    size_t Slot = KeptHashes[J] & Mask;
+    size_t Slot = Kept[J].Hash & Mask;
     while (Table[Slot] != EmptySlot)
       Slot = (Slot + 1) & Mask;
     Table[Slot] = static_cast<uint32_t>(J);
@@ -298,15 +403,41 @@ void FrontierIndex::grow(size_t MinKept) {
 }
 
 std::vector<AbstractDataset> FrontierIndex::takeSorted() {
-  std::sort(Kept.begin(), Kept.end(),
-            [](const AbstractDataset &A, const AbstractDataset &B) {
-              if (A.budget() != B.budget())
-                return A.budget() < B.budget();
-              return rowsLess(A.rows(), B.rows());
-            });
-  std::vector<AbstractDataset> Sorted = std::move(Kept);
+  std::vector<AbstractDataset> Sorted;
+  if (Whole) {
+    Sorted.push_back(std::move(*Whole));
+    Whole.reset();
+  }
+  // Sort the kept children on (budget, bits) while their bits are all
+  // there. Then expand them in the order they were kept, freeing each
+  // block of bits once its children are elements, so a child's bits and
+  // its element are never both held for long; the elements then move
+  // into the sorted order.
+  const size_t NumKept = Kept.size();
+  std::vector<uint32_t> Order(NumKept);
+  for (uint32_t J = 0; J < NumKept; ++J)
+    Order[J] = J;
+  std::sort(Order.begin(), Order.end(), [this](uint32_t A, uint32_t B) {
+    if (Kept[A].Budget != Kept[B].Budget)
+      return Kept[A].Budget < Kept[B].Budget;
+    return bitsRowsLess(keptBits(A), keptBits(B), Words);
+  });
+  const size_t NumClasses = Base->numClasses();
+  std::vector<AbstractDataset> Expanded;
+  Expanded.reserve(NumKept);
+  for (size_t J = 0; J < NumKept; ++J) {
+    Expanded.push_back(AbstractDataset::fromBits(
+        *Base, keptBits(J), Kept[J].Size, Kept[J].Budget,
+        KeptCounts.data() + J * NumClasses));
+    if (J % KeptBlock == KeptBlock - 1 || J + 1 == NumKept)
+      KeptBits[J / KeptBlock] = std::vector<uint64_t>();
+  }
+  Sorted.reserve(Sorted.size() + NumKept);
+  for (uint32_t J : Order)
+    Sorted.push_back(std::move(Expanded[J]));
   Kept.clear();
-  KeptHashes.clear();
+  KeptCounts.clear();
+  KeptBits.clear();
   std::fill(Table.begin(), Table.end(), EmptySlot);
   Emitted = 0;
   EmittedBytes = 0;
@@ -339,13 +470,15 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
       // merge (a few chunks per executor): without it, a run that a
       // budget cap would stop mid-merge could first materialize the
       // whole next frontier in Steps — precisely the OOM the caps stand
-      // in for. Run-ahead memory is limited to the window's steps.
-      std::vector<DisjunctStep> Steps(Frontier.size());
+      // in for. Run-ahead memory is limited to the window's steps: a
+      // slot holds a step only from its transfer to its merge.
+      std::vector<std::unique_ptr<DisjunctStep>> Steps(Frontier.size());
       size_t Executors = (Pool ? Pool->size() : 0) + 1;
       size_t WindowChunks = 4 * Executors;
       OrderedFanout Fanout(Pool, Frontier.size(), /*ChunkSize=*/0,
                            [this, &Steps, &Frontier](size_t I) {
-                             Steps[I] = transferStep(Frontier[I]);
+                             Steps[I] = std::make_unique<DisjunctStep>(
+                                 transferStep(Frontier[I]));
                            },
                            WindowChunks);
 
@@ -360,18 +493,23 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
           break;
         }
         Fanout.awaitItem(I);
-        DisjunctStep &Step = Steps[I];
+        DisjunctStep &Step = *Steps[I];
         for (const std::vector<Interval> &Probs : Step.ForcedTerminals)
           addForcedTerminal(Probs);
         for (AbstractDataset &Terminal : Step.Terminals)
           addTerminal(std::move(Terminal));
         Result.BestSplitCalls += Step.CalledBestSplit;
-        Index.merge(std::move(Step.Children));
-        // Release the merged step's buffers now rather than at the end
-        // of the iteration: with huge frontiers, every step's terminals
-        // and last block would otherwise stay alive alongside the kept
-        // children.
-        Step = DisjunctStep();
+        if (Step.BoxChild)
+          Index.keep(std::move(*Step.BoxChild));
+        else
+          Index.merge(std::move(Step.Children));
+        // Release the merged step and its parent now rather than at the
+        // end of the iteration: with huge frontiers, every step's
+        // terminals and every consumed disjunct's rows would otherwise
+        // stay alive alongside the kept children. No worker reads
+        // disjunct I again once its step is done.
+        Steps[I].reset();
+        AbstractDataset Consumed = std::move(Frontier[I]);
       }
       // Fanout's destructor joins any worker still finishing a claimed
       // chunk before Steps/Frontier leave scope.
@@ -423,7 +561,7 @@ AbstractLearnerResult LearnerRun::run(const AbstractDataset &Initial) {
   if (Result.Status == LearnerStatus::Completed && !Result.Refuted)
     Result.DominatingClass = Tracker.dominatingClass();
   Result.Seconds = Elapsed.seconds();
-  return Result;
+  return std::move(Result);
 }
 
 AbstractLearnerResult

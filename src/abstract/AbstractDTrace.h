@@ -41,17 +41,25 @@
 /// writer of the domination tracker, the frontier index, the overflow
 /// join, and every resource counter — that folds the per-disjunct results
 /// in disjunct-index order. Each transfer step runs `bestSplit#` serially
-/// on its executor and packs its children into one buffer
-/// (`FrontierChildren`) straight from restrict#'s kernel, hashing each
-/// while its rows are still in cache; no element is built for them there.
+/// on its executor and builds its children as row bitsets
+/// (`FrontierChildren`): every side of a predicate is a prefix of the
+/// feature's value-sorted order or the complement of one, so a child is
+/// the parent's bits AND a prefix mask the `SplitContext` keeps, and its
+/// size, class counts, budget and hash all come from those W words. No
+/// element is built for a child there.
 ///
 /// Tied predicates often induce the same restriction, so about half of a
 /// depth's children are copies. The merge drops them as it meets them
 /// (`FrontierIndex`): it probes a per-depth index of the children already
-/// kept and copies out an element only for a child it has not seen, so no
-/// duplicate is ever allocated. The resource caps still count every
+/// kept and keeps the record of a child it has not seen; rows are expanded
+/// only for kept children, once the depth ends, so no duplicate is ever
+/// allocated. A child's W words are not what the caps charge for it (its
+/// rows are): a step's bits live until the merge consumes it, and a kept
+/// child's until its depth ends. The resource caps still count every
 /// emitted child, duplicates included, at the bytes the element would
 /// charge, so abort points do not depend on how many children repeat.
+/// Box's one child per depth (the `filter#` join) goes straight to the
+/// next frontier: nothing could probe it.
 /// Between depths the kept children are sorted into the fixed
 /// (budget, rows) order that the capped joins and the next depth's
 /// emission order depend on. Because every merge replays exactly the
@@ -167,78 +175,108 @@ struct AbstractLearnerResult {
   double Seconds = 0.0;
 };
 
-/// The children one transfer step emits, packed into one buffer rather
-/// than one element each: per child its per-class counts, then its rows,
-/// plus a header with the child's hash, size, budget and the row capacity
-/// it charges. One executor fills it in the transfer phase; the merge
-/// consumes it through a `FrontierIndex`.
-///
-/// The buffer is a list of blocks, and a child never straddles two. The
-/// merge frees each block as soon as it has passed it, so a step's packed
-/// children and the elements kept from them are never all alive at once:
-/// on a step as large as the root's, where few children repeat, that
-/// would hold the step twice.
+/// What the disjunctive `filter#` reads to build children as row bitsets
+/// over one run's base: the context's prefix-mask table (built on the
+/// first run that asks for it) and the rows of every class but the last as
+/// bitsets. The class masks are built per run, not kept in the context,
+/// because a context is label-independent (the flip enumeration relabels
+/// its base under one). Read-only once built, so every pool worker of the
+/// run shares it.
+struct RestrictMasks {
+  explicit RestrictMasks(const SplitContext &Ctx);
+
+  const Dataset &Base;
+  const PrefixMaskTable &Table;
+  /// Class C < numClasses() - 1 at [C · maskWords(), (C + 1) · maskWords()).
+  std::vector<uint64_t> ClassBits;
+};
+
+/// The children one transfer step emits from its parent, each packed as a
+/// fixed-size record rather than one element each: its per-class counts
+/// and its row bitset (W = ⌈numRows / 64⌉ words), plus a header with its
+/// hash, size and budget. One executor fills it in the transfer phase; the
+/// merge consumes it through a `FrontierIndex`.
 class FrontierChildren {
 public:
-  /// Appends `Parent.restrict(Pred, Positive)` without building it:
-  /// restrict#'s kernel writes the rows and counts straight into the
-  /// buffer, and the child is hashed right after, while its rows are
-  /// still in cache.
-  void addRestriction(const AbstractDataset &Parent,
-                      const SplitPredicate &Pred, bool Positive);
+  /// No children (a step that emits none).
+  FrontierChildren() = default;
 
-  /// Appends a copy of a child built elsewhere (Box's `filter#` join),
-  /// charged at its own row capacity.
-  void add(const AbstractDataset &Child);
+  /// Children of \p Parent, whose rows it turns into a bitset once, with
+  /// room for \p MaxChildren records.
+  FrontierChildren(const RestrictMasks &Masks, const AbstractDataset &Parent,
+                   size_t MaxChildren);
+
+  /// Appends `Parent.restrict(Pred, Positive)` without building it: the
+  /// parent's bits AND the side's prefix mask (or its complement), with
+  /// the size, class counts, budget and hash taken in the same pass over
+  /// the W words.
+  void addRestriction(const SplitPredicate &Pred, bool Positive);
 
   size_t size() const { return Headers.size(); }
+
+  /// The hash of a child whose rows are the \p Size bits set in \p Bits
+  /// (\p Words words) at budget \p Budget: a sum of independently mixed
+  /// words, finalized with the budget and size. The finalizer is a
+  /// bijection, so two children with equal rows and different budgets
+  /// never share a hash.
+  static uint64_t hash(const uint64_t *Bits, size_t Words, uint32_t Size,
+                       uint32_t Budget);
 
 private:
   friend class FrontierIndex;
 
   struct Header {
     uint64_t Hash;
-    uint32_t Block;  ///< Index into Blocks.
-    uint32_t Offset; ///< Counts at Blocks[Block][Offset], the rows after.
     uint32_t Size;
     uint32_t Budget;
-    uint32_t RowCapacity;
   };
 
-  /// The block with room for \p Words more words past its end, opening a
-  /// new one when the last has too little.
-  std::vector<uint32_t> &room(size_t Words);
-
+  const RestrictMasks *Masks = nullptr;
+  uint32_t ParentBudget = 0;
+  std::vector<uint64_t> ParentBits;
+  /// Room for the two masks of a side a table rebuilds (stride > 1).
+  std::vector<uint64_t> Scratch;
   std::vector<Header> Headers;
-  std::vector<std::vector<uint32_t>> Blocks;
+  /// The records, sized for every child the constructor was promised:
+  /// numClasses() counts and W words of bits per child.
+  std::vector<uint32_t> Counts;
+  std::vector<uint64_t> Bits;
 };
 
 /// The merge phase's per-depth index of the children kept so far:
 /// hash-consing (Filliâtre & Conchon, "Type-safe modular hash-consing",
 /// 2006) — look a child up before allocating it. The open-addressed table
-/// grows with the children kept, so a one-disjunct depth (every Box depth)
-/// pays for a handful of slots. Single writer; not thread-safe.
+/// grows with the children kept, so a small depth pays for a handful of
+/// slots. Single writer; not thread-safe.
 class FrontierIndex {
 public:
-  explicit FrontierIndex(const Dataset &Base) : Base(&Base) {}
+  explicit FrontierIndex(const Dataset &Base)
+      : Base(&Base), Words((Base.numRows() + size_t(63)) / 64) {}
 
-  /// Folds \p Step's children in emission order, freeing its blocks as
-  /// it passes them. Every child counts toward emitted() and
-  /// emittedBytes() — what the resource caps charge, duplicates included
-  /// — but only a child not yet kept at this depth is copied out, into an
-  /// element at the row capacity its header names. A probe matches on
-  /// hash, size and budget, then compares the rows in full, so a hash
-  /// collision never drops a child.
+  /// Folds \p Step's children in emission order. Every child counts
+  /// toward emitted() and emittedBytes() — what the resource caps charge,
+  /// duplicates included — but only a child not yet kept at this depth is
+  /// kept, as its packed record. A probe matches on hash and budget, then
+  /// compares the child's bits with the kept child's, so a hash collision
+  /// never drops a child.
   void merge(FrontierChildren &&Step);
 
-  /// Children merged since the last takeSorted(), duplicates included.
+  /// Keeps \p Child, built elsewhere (Box's `filter#` join), without
+  /// hashing it: it must be the depth's only child. It counts toward
+  /// emitted() and emittedBytes() at its own row capacity, which a join
+  /// leaves above its size.
+  void keep(AbstractDataset &&Child);
+
+  /// Children merged or kept since the last takeSorted(), duplicates
+  /// included.
   size_t emitted() const { return Emitted; }
 
   /// The sum of stateBytes() those children would charge as elements.
   uint64_t emittedBytes() const { return EmittedBytes; }
 
   /// Ends the depth: returns the kept children sorted by (budget, rows),
-  /// rows compared lexicographically with a proper prefix first, and
+  /// rows compared lexicographically with a proper prefix first, each
+  /// expanded into an element with its rows at exact capacity, and
   /// empties the index. The result equals `std::sort` + `std::unique`
   /// under that key over every merged child. The order is part of the
   /// learner's result, not a convenience: `DisjunctsCapped` joins
@@ -253,8 +291,20 @@ private:
   void grow(size_t MinKept);
 
   const Dataset *Base;
-  std::vector<AbstractDataset> Kept;
-  std::vector<uint64_t> KeptHashes;
+  size_t Words; ///< Words in a row bitset over Base.
+  /// Box's child, kept whole by keep().
+  std::optional<AbstractDataset> Whole;
+  /// The children merge() kept, in the order it kept them, as records:
+  /// header, numClasses() counts and W words of bits each. The bits are in
+  /// blocks of KeptBlock children, so takeSorted() can free them as it
+  /// expands the children into elements.
+  static constexpr size_t KeptBlock = 64;
+  std::vector<FrontierChildren::Header> Kept;
+  std::vector<uint32_t> KeptCounts;
+  std::vector<std::vector<uint64_t>> KeptBits;
+  const uint64_t *keptBits(size_t J) const {
+    return KeptBits[J / KeptBlock].data() + J % KeptBlock * Words;
+  }
   /// Open-addressed slots holding an index into Kept, or UINT32_MAX; at
   /// most half full.
   std::vector<uint32_t> Table;

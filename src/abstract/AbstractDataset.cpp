@@ -83,15 +83,8 @@ bool AbstractDataset::concretizationContains(
   return Rows.size() - Candidate.size() <= Budget;
 }
 
-namespace {
-
-/// restrict#'s kernel, inlined into both restrict() and restrictInto():
-/// compacts the rows of ⟨Rows, Budget⟩ possibly on \p Pred's requested side
-/// into \p Out and adds their classes to \p Cnt.
-inline AbstractDataset::RestrictShape
-restrictKernel(const Dataset &Base, const RowIndexList &Rows, uint32_t Budget,
-               const SplitPredicate &Pred, bool Positive, uint32_t *Out,
-               uint32_t *Cnt) {
+AbstractDataset AbstractDataset::restrict(const SplitPredicate &Pred,
+                                          bool Positive) const {
   // Partition the rows into definitely / possibly on the requested side.
   // For a concrete predicate "possibly" and "definitely" coincide and this
   // is exactly equation (1); for a symbolic ρ the Maybe rows are kept but
@@ -101,11 +94,18 @@ restrictKernel(const Dataset &Base, const RowIndexList &Rows, uint32_t Budget,
   // Kernel shape: the three-valued evaluation over one feature unfolds into
   // two comparisons against the predicate's column slice (True ⇔ V ≤ lo,
   // Maybe ⇔ lo < V < hi), and the kept rows compact through an always-write
-  // cursor — no data-dependent branch in either loop. The same pass adds
-  // each kept row to its class's count, so the child never rescans its
-  // rows for `counts()`.
-  const float *Col = Base.column(Pred.feature());
-  const uint32_t *Labels = Base.labels();
+  // cursor into per-thread scratch — no data-dependent branch in either
+  // loop. The same pass adds each kept row to its class's count, so the
+  // child never rescans its rows for `counts()`. The copied-out row vector
+  // is at exact capacity, which the stateBytes() memory accounting depends
+  // on.
+  thread_local std::vector<uint32_t> Scratch;
+  Scratch.resize(Rows.size());
+  std::vector<uint32_t> KeptCounts(Base->numClasses(), 0);
+  uint32_t *Out = Scratch.data();
+  uint32_t *Cnt = KeptCounts.data();
+  const float *Col = Base->column(Pred.feature());
+  const uint32_t *Labels = Base->labels();
   const double PredLo = Pred.lo();
   const double PredHi = Pred.hi();
   size_t N = 0;
@@ -131,47 +131,25 @@ restrictKernel(const Dataset &Base, const RowIndexList &Rows, uint32_t Budget,
       Definite += !(LeLo | LtHi);
     }
   }
-  const uint32_t PossibleSize = static_cast<uint32_t>(N);
-  const uint32_t NewBudget =
-      std::max(std::min(Budget, PossibleSize),
-               (PossibleSize - Definite) + std::min(Budget, Definite));
-  return {PossibleSize, NewBudget};
-}
-
-} // namespace
-
-AbstractDataset AbstractDataset::restrict(const SplitPredicate &Pred,
-                                          bool Positive) const {
-  // The kernel compacts the rows into per-thread scratch and counts them
-  // into the child's own counts vector; the copied-out row vector is at
-  // exact capacity, which the stateBytes() memory accounting depends on.
-  thread_local std::vector<uint32_t> Scratch;
-  Scratch.resize(Rows.size());
-  std::vector<uint32_t> KeptCounts(Base->numClasses(), 0);
-  RestrictShape Shape = restrictKernel(*Base, Rows, Budget, Pred, Positive,
-                                       Scratch.data(), KeptCounts.data());
   return AbstractDataset(
-      *Base, RowIndexList(Scratch.begin(), Scratch.begin() + Shape.Size),
-      Shape.Budget, std::move(KeptCounts));
+      *Base, RowIndexList(Out, Out + N),
+      restrictBudget(Budget, static_cast<uint32_t>(N), Definite),
+      std::move(KeptCounts));
 }
 
-AbstractDataset::RestrictShape
-AbstractDataset::restrictInto(const SplitPredicate &Pred, bool Positive,
-                              uint32_t *OutRows, uint32_t *OutCounts) const {
-  return restrictKernel(*Base, Rows, Budget, Pred, Positive, OutRows,
-                        OutCounts);
-}
-
-AbstractDataset AbstractDataset::adopt(const Dataset &Base,
-                                       const uint32_t *Rows, uint32_t Size,
-                                       uint32_t RowCapacity, uint32_t Budget,
-                                       const uint32_t *Counts) {
-  assert(RowCapacity >= Size && "row capacity below the row count");
-  RowIndexList Kept;
-  Kept.reserve(RowCapacity);
-  Kept.assign(Rows, Rows + Size);
+AbstractDataset AbstractDataset::fromBits(const Dataset &Base,
+                                          const uint64_t *Bits, uint32_t Size,
+                                          uint32_t Budget,
+                                          const uint32_t *Counts) {
+  RowIndexList Rows(Size);
+  uint32_t *Out = Rows.data();
+  for (size_t Word = 0, Words = (size_t(Base.numRows()) + 63) / 64;
+       Word < Words; ++Word)
+    for (uint64_t B = Bits[Word]; B; B &= B - 1)
+      *Out++ = static_cast<uint32_t>(Word * 64 + __builtin_ctzll(B));
+  assert(Out == Rows.data() + Size && "Size must be the bits set");
   return AbstractDataset(
-      Base, std::move(Kept), Budget,
+      Base, std::move(Rows), Budget,
       std::vector<uint32_t>(Counts, Counts + Base.numClasses()));
 }
 

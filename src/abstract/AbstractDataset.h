@@ -25,10 +25,11 @@
 /// Elements hold a sorted row-index view into an immutable base dataset
 /// plus cached class counts, so all of the above are linear merges.
 /// `restrict#` counts the classes of the rows it keeps in the same pass
-/// that compacts them, so the frontier's hottest constructor never
-/// rescans its rows. Its kernel (`restrictInto`) writes into caller
-/// memory, so the disjunctive frontier can pack, hash and deduplicate a
-/// child before any element is allocated for it (abstract/AbstractDTrace.h).
+/// that compacts them, so a restricted element never rescans its rows.
+/// The disjunctive frontier does not call it: it builds each child as a
+/// row bitset (the parent's bits AND a prefix mask of the split context),
+/// deduplicates it, and expands rows only for a child it keeps, through
+/// fromBits() (abstract/AbstractDTrace.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +40,7 @@
 #include "data/Dataset.h"
 #include "support/Interval.h"
 
+#include <algorithm>
 #include <optional>
 
 namespace antidote {
@@ -113,27 +115,25 @@ public:
   /// budget additionally absorbs the rows that are only possibly there.
   AbstractDataset restrict(const SplitPredicate &Pred, bool Positive) const;
 
-  /// The shape of a restriction written by restrictInto().
-  struct RestrictShape {
-    uint32_t Size;
-    uint32_t Budget;
-  };
+  /// restrict#'s budget for a child of \p Size possible rows, \p Definite
+  /// of them definitely on the requested side, of a parent at budget
+  /// \p ParentBudget: the Maybe rows are charged on top of what the
+  /// parent's budget can remove from the definite ones. The one formula,
+  /// shared with the frontier's bitset children.
+  static uint32_t restrictBudget(uint32_t ParentBudget, uint32_t Size,
+                                 uint32_t Definite) {
+    return std::max(std::min(ParentBudget, Size),
+                    (Size - Definite) + std::min(ParentBudget, Definite));
+  }
 
-  /// restrict#'s kernel, the one both restrict() and the disjunctive
-  /// frontier's packed children run: writes the rows of
-  /// `restrict(Pred, Positive)` to \p OutRows (room for size() rows) and
-  /// adds their per-class counts to \p OutCounts (numClasses() zeroed
-  /// entries), and returns the child's size and budget.
-  RestrictShape restrictInto(const SplitPredicate &Pred, bool Positive,
-                             uint32_t *OutRows, uint32_t *OutCounts) const;
-
-  /// Copies \p Size canonical rows and their exact per-class counts
-  /// \p Counts (numClasses() entries, as restrictInto() writes them) into
-  /// a new element whose row vector holds \p RowCapacity >= \p Size slots,
-  /// which stateBytes() charges.
-  static AbstractDataset adopt(const Dataset &Base, const uint32_t *Rows,
-                               uint32_t Size, uint32_t RowCapacity,
-                               uint32_t Budget, const uint32_t *Counts);
+  /// The element whose rows are the \p Size bits set in \p Bits (a row
+  /// bitset of ⌈numRows() / 64⌉ words over \p Base), with budget \p Budget
+  /// and the rows' exact per-class counts \p Counts (numClasses()
+  /// entries). The row vector is at exact capacity, as restrict()'s is, so
+  /// stateBytes() charges what the same restriction would.
+  static AbstractDataset fromBits(const Dataset &Base, const uint64_t *Bits,
+                                  uint32_t Size, uint32_t Budget,
+                                  const uint32_t *Counts);
 
   /// `pure(⟨T,n⟩, i)` (§4.7): restricts to concretizations containing only
   /// class-\p Class rows; std::nullopt is ⊥ (more than n rows of other

@@ -36,6 +36,146 @@ SplitContext::SplitContext(const Dataset &Base) : Base(&Base) {
   }
 }
 
+const PrefixMaskTable &SplitContext::prefixMasks() const {
+  std::call_once(MasksOnce, [this] { Masks.emplace(*this); });
+  return *Masks;
+}
+
+PrefixMaskTable::PrefixMaskTable(const SplitContext &Ctx) : Ctx(&Ctx) {
+  const Dataset &Base = Ctx.base();
+  const unsigned NumFeatures = Base.numFeatures();
+  const uint32_t NumRows = Base.numRows();
+  MaskWords = (size_t(NumRows) + 63) / 64;
+  auto IsReal = [&Base](unsigned F) {
+    return Base.schema().FeatureKinds[F] == FeatureKind::Real;
+  };
+
+  // The masks a stride keeps: walking each Real feature's order, a value
+  // boundary at least Stride rows past the last kept one (or the empty
+  // prefix), so a lookup ORs in at most Stride - 1 rows. Fewer are kept as
+  // the stride grows, so the smallest stride that fits F · M · 8 bytes
+  // (what a full set of sorted orders and values takes) is found by
+  // bisection. Stride MaskWords always fits: a Real feature then keeps
+  // fewer than numRows() / MaskWords masks.
+  auto ForEachKept = [&](unsigned F, uint32_t S, auto &&Keep) {
+    const float *Vals = Ctx.sortedValues(F);
+    for (uint32_t I = 1, Last = 0; I < NumRows; ++I)
+      if (Vals[I - 1] != Vals[I] && I - Last >= S) {
+        Keep(I);
+        Last = I;
+      }
+  };
+  auto KeptMasks = [&](uint32_t S) {
+    size_t Kept = 0;
+    for (unsigned F = 0; F < NumFeatures; ++F) {
+      if (!IsReal(F))
+        ++Kept;
+      else
+        ForEachKept(F, S, [&Kept](uint32_t) { ++Kept; });
+    }
+    return Kept;
+  };
+  const size_t MaxMasks = size_t(NumFeatures) * NumRows * 8 /
+                          (std::max<size_t>(MaskWords, 1) * sizeof(uint64_t));
+  uint32_t Lo = 1;
+  uint32_t Hi = static_cast<uint32_t>(std::max<size_t>(MaskWords, 1));
+  while (Lo < Hi) {
+    const uint32_t Mid = Lo + (Hi - Lo) / 2;
+    if (KeptMasks(Mid) <= MaxMasks)
+      Hi = Mid;
+    else
+      Lo = Mid + 1;
+  }
+  Stride = Lo;
+
+  const size_t NumKept = KeptMasks(Stride);
+  Masks.assign((2 + NumKept) * MaskWords, 0);
+  MaskLengths.reserve(NumKept);
+  FeatureMasks.reserve(NumFeatures + 1);
+  for (uint32_t Row = 0; Row < NumRows; ++Row)
+    Masks[MaskWords + Row / 64] |= uint64_t(1) << (Row % 64);
+  std::vector<uint64_t> Prefix(MaskWords);
+  MaskValues.reserve(NumKept);
+  auto KeepPrefix = [&](uint32_t Length, float Value) {
+    std::copy(Prefix.begin(), Prefix.end(),
+              Masks.begin() + (2 + MaskLengths.size()) * MaskWords);
+    MaskLengths.push_back(Length);
+    MaskValues.push_back(Value);
+  };
+  for (unsigned F = 0; F < NumFeatures; ++F) {
+    FeatureMasks.push_back(static_cast<uint32_t>(MaskLengths.size()));
+    std::fill(Prefix.begin(), Prefix.end(), 0);
+    if (!IsReal(F)) {
+      const float *Col = Base.column(F);
+      uint32_t Zeros = 0;
+      for (size_t Word = 0; Word < MaskWords; ++Word) {
+        const uint32_t First = static_cast<uint32_t>(Word * 64);
+        const uint32_t Last = std::min(NumRows, First + 64);
+        uint64_t Bits = 0;
+        for (uint32_t Row = First; Row < Last; ++Row)
+          Bits |= uint64_t(Col[Row] == 0.0f) << (Row - First);
+        Prefix[Word] = Bits;
+        Zeros += static_cast<uint32_t>(__builtin_popcountll(Bits));
+      }
+      KeepPrefix(Zeros, 0.0f);
+      continue;
+    }
+    const RowIndexList &Order = Ctx.sortedOrder(F);
+    uint32_t Next = 0;
+    ForEachKept(F, Stride, [&](uint32_t Length) {
+      for (; Next < Length; ++Next)
+        Prefix[Order[Next] / 64] |= uint64_t(1) << (Order[Next] % 64);
+      KeepPrefix(Length, Ctx.sortedValues(F)[Length - 1]);
+    });
+  }
+  FeatureMasks.push_back(static_cast<uint32_t>(MaskLengths.size()));
+}
+
+PrefixMaskTable::Prefix PrefixMaskTable::prefix(unsigned Feature, double C,
+                                                bool Strict,
+                                                uint64_t *Scratch) const {
+  const uint32_t NumRows = Ctx->base().numRows();
+  auto In = [C, Strict](float V) {
+    return Strict ? static_cast<double>(V) < C : static_cast<double>(V) <= C;
+  };
+  // The kept masks whose prefixes lie inside the answer: K of them.
+  const size_t First = FeatureMasks[Feature];
+  const size_t NumKept = FeatureMasks[Feature + 1] - First;
+  const size_t K =
+      std::partition_point(MaskValues.data() + First,
+                           MaskValues.data() + First + NumKept, In) -
+      (MaskValues.data() + First);
+  const uint32_t From = K ? MaskLengths[First + K - 1] : 0;
+  const uint64_t *Kept =
+      K ? Masks.data() + (2 + First + K - 1) * MaskWords : Masks.data();
+  uint32_t Length;
+  if (Ctx->base().schema().FeatureKinds[Feature] != FeatureKind::Real) {
+    // Values are 0 or 1, and the one kept mask holds the zero rows.
+    Length = In(1.0f) ? NumRows : From;
+  } else {
+    // The answer ends before the next kept prefix's last value. At stride
+    // 1 every boundary is kept, so the first value past From already
+    // settles it unless every later value is in.
+    const uint32_t To = K < NumKept ? MaskLengths[First + K] - 1 : NumRows;
+    const float *Vals = Ctx->sortedValues(Feature);
+    Length = From == To || !In(Vals[From])
+                 ? From
+                 : static_cast<uint32_t>(
+                       std::partition_point(Vals + From, Vals + To, In) -
+                       Vals);
+  }
+  if (Length == From)
+    return {Length, Kept};
+  if (Length == NumRows)
+    return {Length, Masks.data() + MaskWords};
+  assert(Length - From < Stride && "a kept mask within the stride");
+  std::copy(Kept, Kept + MaskWords, Scratch);
+  const RowIndexList &Order = Ctx->sortedOrder(Feature);
+  for (uint32_t I = From; I < Length; ++I)
+    Scratch[Order[I] / 64] |= uint64_t(1) << (Order[I] % 64);
+  return {Length, Scratch};
+}
+
 SplitEnumerationPrepass::SplitEnumerationPrepass(const SplitContext &Ctx,
                                                  const RowIndexList &Rows)
     : Ctx(&Ctx), Rows(&Rows) {

@@ -33,6 +33,14 @@
 /// each order, the sorted column values themselves, so the enumeration scans
 /// two dense arrays instead of gathering values row-by-row.
 ///
+/// On first use by the disjunctive `filter#` it also builds a table of
+/// *prefix masks* (`PrefixMaskTable`): every side of a split predicate is a
+/// prefix of a feature's value-sorted order or the complement of one, so
+/// `restrict#` of a parent held as a row bitset is one AND per word with a
+/// mask looked up there (a bitmap index; O'Neil & Quass, "Improved query
+/// performance with variant indexes", SIGMOD 1997). Contexts that only run
+/// Box or the concrete learner never build it.
+///
 /// Kernel shape: each per-feature pass first *compacts* the in-set entries
 /// of the sorted order into dense (value, label) scratch with an
 /// always-write/conditionally-advance loop (no data-dependent branch), then
@@ -48,6 +56,7 @@
 #include "concrete/Predicate.h"
 #include "data/Dataset.h"
 
+#include <mutex>
 #include <optional>
 
 namespace antidote {
@@ -57,6 +66,65 @@ namespace antidote {
 enum class PredicateMode : uint8_t {
   ConcreteMidpoint, ///< `x ≤ (a+b)/2` — used by DTrace / DTraceR.
   SymbolicInterval, ///< `x ≤ [a, b)` — used by DTrace#_R (Appendix B.2).
+};
+
+class SplitContext;
+
+/// A table of prefix masks over one context's base rows, for the
+/// disjunctive `filter#`: W = ⌈numRows() / 64⌉ words per mask, one at every
+/// stride()-th distinct-value boundary of each Real feature and one for
+/// each Boolean feature's zero rows. A context builds and owns its table
+/// (SplitContext::prefixMasks()), which reads the context's sorted orders.
+/// Immutable once built, so any number of threads may look up prefixes at
+/// once.
+class PrefixMaskTable {
+public:
+  explicit PrefixMaskTable(const SplitContext &Ctx);
+
+  /// Words in a row bitset over the base rows, ⌈numRows() / 64⌉: row R is
+  /// bit R % 64 of word R / 64, and the bits past the last row are zero.
+  size_t maskWords() const { return MaskWords; }
+
+  /// A prefix of a feature's (value, row id) order: its length, and its
+  /// rows as a row bitset of maskWords() words.
+  struct Prefix {
+    uint32_t Length;
+    const uint64_t *Mask;
+  };
+
+  /// The base rows whose value of \p Feature is at most \p C (\p Strict:
+  /// below \p C): a prefix of the feature's (value, row id) order, which
+  /// for a Boolean feature is its zero rows, then its one rows. The mask is
+  /// a table entry, or \p Scratch (maskWords() words) filled with the
+  /// nearest shorter entry and the at most stride() - 1 rows between.
+  Prefix prefix(unsigned Feature, double C, bool Strict,
+                uint64_t *Scratch) const;
+
+  /// The table keeps the mask at every stride()-th value boundary of a
+  /// Real feature, and every Boolean feature's zero rows. The stride is the
+  /// smallest that keeps the table within numFeatures() × numRows() × 8
+  /// bytes, what a full set of sorted orders and values takes; 1 keeps
+  /// every boundary. Only Real features with many distinct values (wdbc,
+  /// mnist17-real) need a stride above 1.
+  uint32_t stride() const { return Stride; }
+
+  /// Heap bytes of the table.
+  size_t bytes() const { return Masks.capacity() * sizeof(uint64_t); }
+
+private:
+  const SplitContext *Ctx;
+  size_t MaskWords = 0;
+  uint32_t Stride = 1;
+  /// The empty mask, the full mask, then every kept prefix mask, each
+  /// MaskWords words; kept mask K starts at word (2 + K) · MaskWords.
+  std::vector<uint64_t> Masks;
+  /// Prefix length of kept mask K, ascending within each feature.
+  std::vector<uint32_t> MaskLengths;
+  /// The largest value in kept mask K's prefix, so a lookup searches the
+  /// kept boundaries before the rows between two of them.
+  std::vector<float> MaskValues;
+  /// Feature F's kept masks are [FeatureMasks[F], FeatureMasks[F + 1]).
+  std::vector<uint32_t> FeatureMasks;
 };
 
 /// Immutable per-dataset acceleration structure for split enumeration.
@@ -84,10 +152,17 @@ public:
     return Values[Feature].data();
   }
 
+  /// The prefix-mask table over this context's base, built on the first
+  /// call (by whichever thread makes it) and kept for the context's life.
+  const PrefixMaskTable &prefixMasks() const;
+
 private:
   const Dataset *Base;
   std::vector<RowIndexList> Orders; ///< Indexed by feature; empty if Boolean.
   std::vector<std::vector<float>> Values; ///< Aligned with Orders.
+
+  mutable std::once_flag MasksOnce;
+  mutable std::optional<PrefixMaskTable> Masks;
 };
 
 /// Read-only state shared by every per-feature enumeration pass over one

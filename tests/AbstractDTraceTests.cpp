@@ -418,25 +418,24 @@ referenceDedupe(std::vector<AbstractDataset> Frontier) {
   return Frontier;
 }
 
-/// One emitted child: a copy of a pool element, or a restriction of one.
+/// One transfer step: the sides of predicates one pool element is
+/// restricted by, in emission order.
 struct Emission {
   size_t Source;
-  bool Restrict;
-  SplitPredicate Pred;
-  bool Positive;
+  std::vector<std::pair<SplitPredicate, bool>> Sides;
 };
 
 } // namespace
 
 TEST(FrontierMergePropertyTest, MatchesSortUniqueElementByElement) {
   // Random emissions built to hit every branch of the index and the sort:
-  // heavy duplication, row lists sharing prefixes longer than the 16-row
-  // block (so the sort's memcmp skip runs, and stops inside a block), row
-  // lists that are proper prefixes of others, equal rows at different
-  // budgets, and restrictions through the packed kernel that repeat or
-  // coincide. The steps are packed on a pool of four workers, as the
-  // learner's transfer phase packs them, many of them over several blocks,
-  // and merged in order by one index reused across trials.
+  // heavy duplication, row lists sharing long prefixes (so the sort
+  // compares past equal words), row lists that are proper prefixes of
+  // others, equal rows at different budgets, and restrictions that repeat
+  // or coincide — a side that keeps every row copies its parent. The
+  // steps are built from bits on a pool of four workers, as the learner's
+  // transfer phase builds them, and merged in order by one index reused
+  // across trials.
   RandomDatasetSpec Spec;
   Spec.MinRows = 200;
   Spec.MaxRows = 200;
@@ -445,6 +444,8 @@ TEST(FrontierMergePropertyTest, MatchesSortUniqueElementByElement) {
   Spec.DistinctValues = 6;
   Rng R(20200615);
   Dataset Data = makeRandomDataset(R, Spec);
+  SplitContext Ctx(Data);
+  RestrictMasks Masks(Ctx);
   ThreadPool Workers(4);
   FrontierIndex Index(Data);
   for (int Trial = 0; Trial < 300; ++Trial) {
@@ -482,8 +483,9 @@ TEST(FrontierMergePropertyTest, MatchesSortUniqueElementByElement) {
     }
 
     // A few predicates per trial, concrete and symbolic, so restrictions
-    // repeat and distinct thresholds keep the same rows.
-    std::vector<SplitPredicate> Preds;
+    // repeat and distinct thresholds keep the same rows; one keeps every
+    // row on its positive side (values are below 6).
+    std::vector<SplitPredicate> Preds = {SplitPredicate::threshold(0, 10.0)};
     for (size_t P = 0, E = 1 + R.uniformInt(4); P < E; ++P) {
       uint32_t Feature = static_cast<uint32_t>(R.uniformInt(3));
       double Lo = static_cast<double>(R.uniformInt(6)) + 0.5;
@@ -491,29 +493,26 @@ TEST(FrontierMergePropertyTest, MatchesSortUniqueElementByElement) {
                           ? SplitPredicate::threshold(Feature, Lo)
                           : SplitPredicate::symbolic(Feature, Lo, Lo + 2.0));
     }
-    std::vector<std::vector<Emission>> Steps(1 + R.uniformInt(5));
+    std::vector<Emission> Steps(1 + R.uniformInt(5 * PoolSize));
     std::vector<AbstractDataset> Materialized;
     uint64_t MaterializedBytes = 0;
-    for (std::vector<Emission> &Step : Steps) {
-      for (size_t I = 0, E = R.uniformInt(4 * PoolSize + 4); I < E; ++I) {
-        Emission Em{R.uniformInt(PoolSize), R.bernoulli(0.5),
-                    Preds[R.uniformInt(Preds.size())], R.bernoulli(0.5)};
-        const AbstractDataset &Src = Pool[Em.Source];
-        Materialized.push_back(Em.Restrict ? Src.restrict(Em.Pred, Em.Positive)
-                                           : Src);
+    for (Emission &Step : Steps) {
+      Step.Source = R.uniformInt(PoolSize);
+      for (size_t I = 0, E = R.uniformInt(6); I < E; ++I) {
+        Step.Sides.emplace_back(Preds[R.uniformInt(Preds.size())],
+                                R.bernoulli(0.5));
+        Materialized.push_back(Pool[Step.Source].restrict(
+            Step.Sides.back().first, Step.Sides.back().second));
         MaterializedBytes += Materialized.back().stateBytes();
-        Step.push_back(Em);
       }
     }
 
     std::vector<FrontierChildren> Packed(Steps.size());
     parallelFor(&Workers, Steps.size(), [&](size_t S) {
-      for (const Emission &Em : Steps[S]) {
-        if (Em.Restrict)
-          Packed[S].addRestriction(Pool[Em.Source], Em.Pred, Em.Positive);
-        else
-          Packed[S].add(AbstractDataset(Pool[Em.Source]));
-      }
+      Packed[S] = FrontierChildren(Masks, Pool[Steps[S].Source],
+                                   Steps[S].Sides.size());
+      for (const auto &[Pred, Positive] : Steps[S].Sides)
+        Packed[S].addRestriction(Pred, Positive);
     });
     for (FrontierChildren &Step : Packed)
       Index.merge(std::move(Step));
@@ -540,23 +539,214 @@ TEST(FrontierMergePropertyTest, MatchesSortUniqueElementByElement) {
 
 TEST(FrontierMergeTest, CopiedChildKeepsTheRowCapacityItCharges) {
   // Box's filter# child is a join, whose row vector has spare capacity
-  // that PeakStateBytes has always charged; the merge must charge and
+  // that PeakStateBytes has always charged; the index must charge and
   // keep exactly that, not an exact-capacity copy.
   Dataset Data = figure2Dataset();
   AbstractDataset A(Data, {0, 1, 2, 3}, 1);
   AbstractDataset B(Data, {2, 3, 4, 5}, 2);
   AbstractDataset Joined = AbstractDataset::join(A, B);
   ASSERT_GT(Joined.rows().capacity(), Joined.rows().size());
-  FrontierChildren Step;
-  Step.add(Joined);
-  Step.add(Joined);
+  const AbstractDataset Expected = Joined; // A copy is at exact capacity.
+  const uint64_t Bytes = Joined.stateBytes();
   FrontierIndex Index(Data);
-  Index.merge(std::move(Step));
-  EXPECT_EQ(Index.emitted(), 2u);
-  EXPECT_EQ(Index.emittedBytes(), 2 * Joined.stateBytes());
+  Index.keep(std::move(Joined));
+  EXPECT_EQ(Index.emitted(), 1u);
+  EXPECT_EQ(Index.emittedBytes(), Bytes);
   std::vector<AbstractDataset> Kept = Index.takeSorted();
   ASSERT_EQ(Kept.size(), 1u);
-  EXPECT_EQ(Kept[0], Joined);
-  EXPECT_EQ(Kept[0].counts(), Joined.counts());
-  EXPECT_EQ(Kept[0].stateBytes(), Joined.stateBytes());
+  EXPECT_EQ(Kept[0], Expected);
+  EXPECT_EQ(Kept[0].counts(), Expected.counts());
+  EXPECT_EQ(Kept[0].stateBytes(), Bytes);
+  EXPECT_EQ(Index.emitted(), 0u);
+}
+
+TEST(FrontierMergeTest, HashSeparatesEqualRowsAtDifferentBudgets) {
+  // The index compares budgets after a hash match, but no pair of
+  // children reaches that compare: the hash folds (budget, size) into the
+  // row sum through a bijective finalizer, so equal rows at different
+  // budgets never share a hash. Checked over random rows and budgets.
+  Rng R(20260101);
+  for (int Trial = 0; Trial < 2000; ++Trial) {
+    const size_t Words = 1 + R.uniformInt(20);
+    std::vector<uint64_t> Bits(Words);
+    uint32_t Size = 0;
+    const double Density = R.uniform();
+    for (size_t Bit = 0; Bit < 64 * Words; ++Bit)
+      if (R.bernoulli(Density)) {
+        Bits[Bit / 64] |= uint64_t(1) << (Bit % 64);
+        ++Size;
+      }
+    const uint32_t Budget =
+        static_cast<uint32_t>(R.uniformInt(uint64_t(Size) + 1));
+    uint32_t Other = static_cast<uint32_t>(R.uniformInt(uint64_t(Size) + 1));
+    if (Other == Budget)
+      Other = Budget + 1 + static_cast<uint32_t>(R.uniformInt(1u << 20));
+    const uint64_t Hash =
+        FrontierChildren::hash(Bits.data(), Words, Size, Budget);
+    EXPECT_EQ(Hash, FrontierChildren::hash(Bits.data(), Words, Size, Budget));
+    EXPECT_NE(Hash, FrontierChildren::hash(Bits.data(), Words, Size, Other))
+        << "trial " << Trial << ": budgets " << Budget << " and " << Other;
+  }
+}
+
+namespace {
+
+/// The first \p Length rows of \p Feature's (value, row id) order, as a
+/// row bitset built directly: what a table entry at stride 1 holds.
+std::vector<uint64_t> referencePrefix(const SplitContext &Ctx,
+                                      unsigned Feature, uint32_t Length) {
+  const Dataset &Base = Ctx.base();
+  RowIndexList Order = allRows(Base);
+  const float *Col = Base.column(Feature);
+  std::stable_sort(Order.begin(), Order.end(), [Col](uint32_t A, uint32_t B) {
+    return Col[A] < Col[B];
+  });
+  std::vector<uint64_t> Bits((Base.numRows() + size_t(63)) / 64);
+  for (uint32_t I = 0; I < Length; ++I)
+    Bits[Order[I] / 64] |= uint64_t(1) << (Order[I] % 64);
+  return Bits;
+}
+
+/// Random datasets for the bitset restrictions: \p Rows rows, and either
+/// many distinct values (a table over more boundaries than it can keep,
+/// so its stride exceeds 1) or a handful (ties everywhere, stride 1).
+Dataset restrictDataset(Rng &R, unsigned Rows, bool Boolean, bool Distinct) {
+  RandomDatasetSpec Spec;
+  Spec.MinRows = Rows;
+  Spec.MaxRows = Rows;
+  Spec.NumFeatures = 3;
+  Spec.NumClasses = 3;
+  Spec.BooleanFeatures = Boolean;
+  Spec.DistinctValues = Distinct ? 100000 : 5;
+  return makeRandomDataset(R, Spec);
+}
+
+} // namespace
+
+TEST(FrontierRestrictPropertyTest, PrefixMasksMatchTheSortedOrder) {
+  // Every prefix a threshold at, below or above a value selects has the
+  // length and the rows of the feature's sorted order up to it, whether
+  // the table keeps that boundary (stride 1) or rebuilds it from a shorter
+  // one (stride > 1).
+  Rng R(20261020);
+  bool SawStride = false;
+  for (unsigned Rows : {1u, 63u, 64u, 65u, 130u, 257u})
+    for (bool Boolean : {false, true})
+      for (bool Distinct : {false, true}) {
+        Dataset Data = restrictDataset(R, Rows, Boolean, Distinct);
+        SplitContext Ctx(Data);
+        const PrefixMaskTable &Table = Ctx.prefixMasks();
+        SawStride |= Table.stride() > 1;
+        EXPECT_EQ(Table.maskWords(), (Rows + 63) / 64);
+        EXPECT_LE(Table.bytes(),
+                  (size_t(3) * Rows + 2 * Table.maskWords()) * 8);
+        std::vector<uint64_t> Scratch(Table.maskWords());
+        for (unsigned F = 0; F < 3; ++F)
+          for (uint32_t Row = 0; Row < Rows; ++Row) {
+            const double V = Data.column(F)[Row];
+            for (double C : {V - 0.5, V, V + 0.5})
+              for (bool Strict : {false, true}) {
+                const PrefixMaskTable::Prefix P =
+                    Table.prefix(F, C, Strict, Scratch.data());
+                uint32_t Length = 0;
+                for (uint32_t Other = 0; Other < Rows; ++Other)
+                  Length += Strict ? Data.column(F)[Other] < C
+                                   : Data.column(F)[Other] <= C;
+                EXPECT_EQ(P.Length, Length)
+                    << Rows << " rows, feature " << F << ", at " << C;
+                EXPECT_EQ(
+                    std::vector<uint64_t>(P.Mask, P.Mask + Table.maskWords()),
+                    referencePrefix(Ctx, F, Length))
+                    << Rows << " rows, feature " << F << ", length " << Length;
+              }
+          }
+      }
+  EXPECT_TRUE(SawStride) << "no table kept fewer masks than boundaries";
+}
+
+TEST(FrontierRestrictPropertyTest, BitsetChildEqualsRestrict) {
+  // A child built from bits and expanded by the index equals restrict#'s
+  // element in rows, counts, budget and the bytes it charges: on Real and
+  // Boolean features, with ties, concrete and symbolic (Maybe) predicates
+  // at and between the values, parents whose rows all lie strictly inside
+  // a predicate's (lo, hi), row counts around a word boundary, and tables
+  // at stride 1 and above. The children are built on a pool of four
+  // workers sharing one context and one set of class masks.
+  Rng R(20260401);
+  ThreadPool Workers(4);
+  for (unsigned Rows : {1u, 63u, 64u, 65u, 130u, 257u})
+    for (bool Boolean : {false, true})
+      for (bool Distinct : {false, true}) {
+        Dataset Data = restrictDataset(R, Rows, Boolean, Distinct);
+        SplitContext Ctx(Data);
+        RestrictMasks Masks(Ctx);
+        std::vector<std::pair<AbstractDataset, std::vector<SplitPredicate>>>
+            Cases;
+        for (int Trial = 0; Trial < 40; ++Trial) {
+          RowIndexList Parent = randomRowRange(R, 0, Rows, R.uniform());
+          uint32_t Budget =
+              static_cast<uint32_t>(R.uniformInt(Parent.size() + 1));
+          const unsigned F = static_cast<unsigned>(R.uniformInt(3));
+          std::vector<double> Vals;
+          for (uint32_t Row = 0; Row < Rows; ++Row)
+            Vals.push_back(Data.column(F)[Row]);
+          std::sort(Vals.begin(), Vals.end());
+          const double A = Vals[R.uniformInt(Vals.size())];
+          const double B = Vals[R.uniformInt(Vals.size())];
+          const double Lo = std::min(A, B);
+          const double Hi = std::max(A, B);
+          std::vector<SplitPredicate> Preds = {
+              SplitPredicate::threshold(F, A),
+              SplitPredicate::threshold(F, (A + B) / 2),
+              SplitPredicate::threshold(F, -1.0),
+              SplitPredicate::threshold(F, 1e9)};
+          if (Lo < Hi) {
+            Preds.push_back(SplitPredicate::symbolic(F, Lo, Hi));
+            // A parent strictly inside (lo, hi): every row is Maybe.
+            RowIndexList Inside;
+            for (uint32_t Row = 0; Row < Rows; ++Row)
+              if (Lo < Data.column(F)[Row] && Data.column(F)[Row] < Hi)
+                Inside.push_back(Row);
+            Cases.push_back(
+                {AbstractDataset(Data, Inside, R.uniformInt(Inside.size() + 1)),
+                 {SplitPredicate::symbolic(F, Lo, Hi)}});
+          }
+          Cases.push_back({AbstractDataset(Data, Parent, Budget), Preds});
+        }
+
+        std::vector<FrontierChildren> Packed(Cases.size());
+        parallelFor(&Workers, Cases.size(), [&](size_t C) {
+          Packed[C] = FrontierChildren(Masks, Cases[C].first,
+                                       2 * Cases[C].second.size());
+          for (const SplitPredicate &Pred : Cases[C].second)
+            for (bool Positive : {true, false})
+              Packed[C].addRestriction(Pred, Positive);
+        });
+        for (size_t C = 0; C < Cases.size(); ++C) {
+          const AbstractDataset &Parent = Cases[C].first;
+          std::vector<AbstractDataset> Expected;
+          uint64_t ExpectedBytes = 0;
+          for (const SplitPredicate &Pred : Cases[C].second)
+            for (bool Positive : {true, false}) {
+              Expected.push_back(Parent.restrict(Pred, Positive));
+              ExpectedBytes += Expected.back().stateBytes();
+            }
+          FrontierIndex Index(Data);
+          Index.merge(std::move(Packed[C]));
+          EXPECT_EQ(Index.emitted(), Expected.size());
+          EXPECT_EQ(Index.emittedBytes(), ExpectedBytes);
+          Expected = referenceDedupe(std::move(Expected));
+          std::vector<AbstractDataset> Got = Index.takeSorted();
+          ASSERT_EQ(Got.size(), Expected.size()) << Rows << " rows";
+          for (size_t I = 0; I < Got.size(); ++I) {
+            const std::string Where = std::to_string(Rows) + " rows, " +
+                                      Expected[I].str() + " from " +
+                                      Parent.str();
+            EXPECT_EQ(Got[I].rows(), Expected[I].rows()) << Where;
+            EXPECT_EQ(Got[I].counts(), Expected[I].counts()) << Where;
+            EXPECT_EQ(Got[I].budget(), Expected[I].budget()) << Where;
+            EXPECT_EQ(Got[I].stateBytes(), Expected[I].stateBytes()) << Where;
+          }
+        }
+      }
 }

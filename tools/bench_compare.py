@@ -10,8 +10,8 @@ suitable for `$GITHUB_STEP_SUMMARY`.
 Gated benchmarks are the families in `DEFAULT_PATTERNS`: the cache-hit
 path, the frontier fan-out, the disk-store restart path, the SoA
 kernels with the concrete/abstract bestSplit, restrict and Gini
-benches they feed, the disjunctive frontier's dedupe, and the
-label-flip verify.
+benches they feed, the disjunctive frontier's bitset restrict# and
+merge, and the label-flip verify.
 Comparison uses *cpu_time* — wall clock on shared runners
 is hostage to the neighbours, and every gated path's win is
 CPU-visible — normalized through each entry's `time_unit`.
@@ -49,7 +49,8 @@ DEFAULT_PATTERNS = [
     r"^BM_AbstractRestrict",
     r"^BM_AbstractGini",
     r"^BM_FlipVerify",
-    r"^BM_FrontierMerge",
+    r"^BM_FrontierRestrict",
+    r"^BM_FrontierMergeBits",
 ]
 # (BM_AbstractGini was informational while it timed a single ~10 ns
 # call — code layout alone moved that past the tolerance. It now sweeps
